@@ -11,21 +11,31 @@ and rewinds each section.
 Descents are the bookkeeping device: the image of a configuration with
 m towers has exactly m descents, and every rewriting step here is
 reversible column by column.
+
+Both maps run on compact strings (alphabet .Aa1Bb2).  phi and
+phi_inverse validate their input once and then recurse on the private
+string-level steps; the public compress, expand, section and decoding
+functions wrap those same steps and check their own inputs.
 """
 
 from __future__ import annotations
 
+import operator
+import re
+
 from .configuration import (
-    EMPTY,
+    ODD_CHARS,
+    TOWER_CHARS,
     Color,
     Column,
     Configuration,
     NotOrderedError,
-    Row,
-    analyze,
-    column_of,
-    odd,
-    tower,
+    _is_balanced,
+    _is_ordered,
+    _one_slots,
+    _only,
+    _wrap,
+    is_tower_free,
 )
 
 TraceLog = list
@@ -60,9 +70,171 @@ def _note(trace: TraceLog | None, depth: int, label: str, value: object) -> None
         trace.append((depth, label, str(value)))
 
 
+# ------------------------------------------------------ string-level steps
+
+_DROP_ODD = str.maketrans("", "", ODD_CHARS)
+
+#: A pair of even columns packed into one column: a tower gives its
+#: color to its slot, an empty leaves the slot uncolored.  Towers of two
+#: colors have no packed form.
+_PACK = {"..": ".", "1.": "A", ".1": "a", "11": "1", "2.": "B", ".2": "b", "22": "2"}
+_UNPACK = str.maketrans({packed: pair for pair, packed in _PACK.items()})
+
+#: Odd columns moved to the other row.
+_FLIP = str.maketrans("AaBb", "aAbB")
+#: Odd columns recolored One or Two in the same row.
+_TO_ONE = str.maketrans("AaBb", "AaAa")
+_TO_TWO = str.maketrans("AaBb", "BbBb")
+
+#: A descent of a tower-free string: color Two, then color One.
+_DESCENT = re.compile("[Bb](?=[Aa])")
+#: The tower/empty pair a descent encodes: the left column in the bottom
+#: row means a color-One tower, the right column in the bottom row means
+#: the tower came first.
+_DESCENT_PAIR = {"ba": "1.", "bA": ".1", "Ba": "2.", "BA": ".2"}
+
+
+def _compress(skeleton: str) -> str:
+    """Pack an even-length string over .12 into half as many columns."""
+    try:
+        return "".join(map(_PACK.__getitem__, map(operator.add, skeleton[::2], skeleton[1::2])))
+    except KeyError:
+        k = next(k for k in range(0, len(skeleton), 2) if skeleton[k : k + 2] not in _PACK)
+        raise MixedColumnError(
+            f"columns {k + 1} and {k + 2} of {skeleton} are towers of different colors"
+        ) from None
+
+
+def _expand(compressed: str) -> str:
+    return compressed.translate(_UNPACK)
+
+
+def _section_forward(section: str, variant: int) -> str:
+    """Rewrite a section whose interior is odd; see phi_section_forward."""
+    first, interior, last = section[0], section[1:-1], section[-1]
+    if first in TOWER_CHARS and last == ".":
+        tower_char, tower_first = first, True
+    elif first == "." and last in TOWER_CHARS:
+        tower_char, tower_first = last, False
+    else:
+        raise MalformedSectionError(
+            f"ends of {section} must be one tower and one empty column"
+        )
+    head = "b" if tower_char == "1" else "B"
+    tail = "a" if tower_first else "A"
+    if variant == 1:
+        run = head + interior.translate(_TO_TWO)
+        if run[-1] != head:
+            run = run.translate(_FLIP)
+        return run + tail
+    run = interior.translate(_TO_ONE) + tail
+    if run[0] != tail:
+        run = run.translate(_FLIP)
+    return head + run
+
+
+def _section_inverse(run: str, variant: int, ends: str) -> str:
+    """Rewind an odd run of two or more columns between the two skeleton
+    columns in ends; see phi_section_inverse."""
+    if variant == 1:
+        shaped = _only(run[:-1], "Bb") and run[-1] in "Aa"
+    else:
+        shaped = run[0] in "Bb" and _only(run[1:], "Aa")
+    if not shaped:
+        raise MalformedSectionError(f"{run} does not have the variant-{variant} run shape")
+    if variant == 1:
+        flip, fill = run[0] != run[-2], _TO_ONE
+    else:
+        flip, fill = run[-1] != run[1], _TO_TWO
+    interior = run[1:-1].translate(_FLIP) if flip else run[1:-1]
+    return ends[0] + interior.translate(fill) + ends[1]
+
+
+def _decode_pairs(image: str) -> tuple[list[int], str]:
+    """The descent positions of a tower-free string and the tower/empty
+    pairs they spell."""
+    descents = [match.start() + 1 for match in _DESCENT.finditer(image)]
+    return descents, "".join([_DESCENT_PAIR[image[k - 1 : k + 1]] for k in descents])
+
+
+def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
+    """phi on a balanced, ordered compact string."""
+    if _only(text, ODD_CHARS):
+        _note(trace, depth, "fixed point", text)
+        return text
+    compressed = _compress(text.translate(_DROP_ODD))
+    _note(trace, depth, "input", text)
+    _note(trace, depth, "tower configuration", compressed)
+    expanded = _expand(_phi(compressed, trace, depth + 1))
+    _note(trace, depth, "expanded image", expanded)
+    evens = [pos for pos, char in enumerate(text) if char not in ODD_CHARS]
+    ones = _one_slots(text)
+    out = []
+    end = 0
+    for k in range(0, len(evens), 2):
+        p1, p2 = evens[k], evens[k + 1]
+        variant = 1 if p2 < ones else 2
+        section = expanded[k] + text[p1 + 1 : p2] + expanded[k + 1]
+        image = _section_forward(section, variant)
+        out += (text[end:p1], image)
+        end = p2 + 1
+        if trace is not None:
+            _note(trace, depth, f"section {p1 + 1}..{p2 + 1}",
+                  f"variant {variant}: {section} -> {image}")
+    out.append(text[end:])
+    result = "".join(out)
+    _note(trace, depth, "image", result)
+    return result
+
+
+def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
+    """phi_inverse on a tower-free compact string."""
+    descents, pairs = _decode_pairs(image)
+    if not descents:
+        _note(trace, depth, "fixed point", image)
+        return image
+    _note(trace, depth, "input", image)
+    _note(trace, depth, "pair seed", pairs)
+    skeleton = _expand(_phi_inverse(_compress(pairs), trace, depth + 1))
+    _note(trace, depth, "skeleton", skeleton)
+    tower_one_pairs = skeleton.count("1")
+    n = len(image)
+    out = []
+    previous_end = 0
+    for k, descent in enumerate(descents):
+        # 1-based bounds: the section is image[start - 1 : end].
+        start, end = descent, descent + 1
+        if k < tower_one_pairs:
+            variant = 1
+            while start > 1 and image[start - 2] in "Bb":
+                start -= 1
+        else:
+            variant = 2
+            while end < n and image[end] in "Aa":
+                end += 1
+        if start <= previous_end:
+            raise NotInImageError(f"sections of {image} overlap")
+        section = image[start - 1 : end]
+        rebuilt = _section_inverse(section, variant, skeleton[2 * k : 2 * k + 2])
+        out += (image[previous_end : start - 1], rebuilt)
+        previous_end = end
+        if trace is not None:
+            _note(trace, depth, f"section {start}..{end}",
+                  f"variant {variant}: {section} -> {rebuilt}")
+    out.append(image[previous_end:])
+    result = "".join(out)
+    if not (_is_balanced(result) and _is_ordered(result)):
+        raise NotInImageError(f"{image} reconstructs to {result}, which is not ordered")
+    _note(trace, depth, "preimage", result)
+    return result
+
+
+# ------------------------------------------------------------- public API
+
+
 def even_skeleton(configuration: Configuration) -> Configuration:
     """The subsequence of tower and empty columns, in order."""
-    return Configuration(c for c in configuration.columns if not c.is_odd)
+    return _wrap(configuration.text.translate(_DROP_ODD))
 
 
 def compress(skeleton: Configuration) -> Configuration:
@@ -73,31 +245,18 @@ def compress(skeleton: Configuration) -> Configuration:
     uncolored slot.  Two towers of different colors in one pair cannot
     be packed.
     """
-    cols = skeleton.columns
-    for pos, col in enumerate(cols, start=1):
-        if col.is_odd:
+    text = skeleton.text
+    for pos, char in enumerate(text, start=1):
+        if char in ODD_CHARS:
             raise HasOddColumnsError(f"column {pos} of {skeleton} is odd")
-    if len(cols) % 2:
+    if len(text) % 2:
         raise BijectionError(f"{skeleton} has an odd number of columns")
-    out = []
-    for k in range(0, len(cols), 2):
-        top = cols[k].color
-        bottom = cols[k + 1].color
-        if top is not None and bottom is not None and top is not bottom:
-            raise MixedColumnError(
-                f"columns {k + 1} and {k + 2} of {skeleton} are towers of different colors"
-            )
-        out.append(column_of(top, bottom))
-    return Configuration(out)
+    return _wrap(_compress(text))
 
 
 def expand(compressed: Configuration) -> Configuration:
     """Invert compress: each column becomes a tower/empty pair."""
-    out = []
-    for col in compressed.columns:
-        out.append(tower(col.top) if col.top is not None else EMPTY)
-        out.append(tower(col.bottom) if col.bottom is not None else EMPTY)
-    return Configuration(out)
+    return _wrap(_expand(compressed.text))
 
 
 def tower_configuration(configuration: Configuration) -> Configuration:
@@ -120,36 +279,12 @@ def phi_section_forward(section: Configuration, variant: int) -> Configuration:
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-    cols = section.columns
-    n = len(cols)
-    if n < 2:
+    text = section.text
+    if len(text) < 2:
         raise MalformedSectionError("a section has at least two columns")
-    for col in cols[1:-1]:
-        if not col.is_odd:
-            raise MalformedSectionError(f"interior of {section} must be odd columns")
-    first, last = cols[0], cols[-1]
-    if first.is_tower and last.is_empty:
-        tower_first = True
-        color = first.color
-    elif first.is_empty and last.is_tower:
-        tower_first = False
-        color = last.color
-    else:
-        raise MalformedSectionError(
-            f"ends of {section} must be one tower and one empty column"
-        )
-    out = [odd(Row.BOTTOM if color is Color.ONE else Row.TOP, Color.TWO)]
-    fill = Color.TWO if variant == 1 else Color.ONE
-    for col in cols[1:-1]:
-        out.append(odd(col.row, fill))
-    out.append(odd(Row.BOTTOM if tower_first else Row.TOP, Color.ONE))
-    if variant == 1:
-        if out[-2] != out[0]:
-            out[:-1] = [col.flipped() for col in out[:-1]]
-    else:
-        if out[1] != out[-1]:
-            out[1:] = [col.flipped() for col in out[1:]]
-    return Configuration(out)
+    if not _only(text[1:-1], ODD_CHARS):
+        raise MalformedSectionError(f"interior of {section} must be odd columns")
+    return _wrap(_section_forward(text, variant))
 
 
 def phi_section_inverse(
@@ -166,36 +301,13 @@ def phi_section_inverse(
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-    cols = list(section.columns)
-    n = len(cols)
-    if n < 2:
+    text = section.text
+    if len(text) < 2:
         raise MalformedSectionError("a section has at least two columns")
-    for col in cols:
-        if not col.is_odd:
-            raise MalformedSectionError(f"{section} must consist of odd columns")
-    if variant == 1:
-        expected_shape = all(c.color is Color.TWO for c in cols[:-1]) and cols[
-            -1
-        ].color is Color.ONE
-    else:
-        expected_shape = cols[0].color is Color.TWO and all(
-            c.color is Color.ONE for c in cols[1:]
-        )
-    if not expected_shape:
-        raise MalformedSectionError(
-            f"{section} does not have the variant-{variant} run shape"
-        )
-    if variant == 1:
-        if cols[0] != cols[n - 2]:
-            cols[: n - 1] = [c.flipped() for c in cols[: n - 1]]
-        fill = Color.ONE
-    else:
-        if cols[-1] != cols[1]:
-            cols[1:] = [c.flipped() for c in cols[1:]]
-        fill = Color.TWO
+    if not _only(text, ODD_CHARS):
+        raise MalformedSectionError(f"{section} must consist of odd columns")
     first, last = skeleton
-    interior = [odd(c.row, fill) for c in cols[1:-1]]
-    return Configuration([first, *interior, last])
+    return _wrap(_section_inverse(text, variant, Configuration((first, last)).text))
 
 
 def decode_pairs(
@@ -209,126 +321,29 @@ def decode_pairs(
     (position, color, tower_first) triples and the tower/empty pair
     configuration they spell, one pair per descent.
     """
-    qcols = image.columns
-    for col in qcols:
-        if not col.is_odd:
-            raise NotTowerFreeError(f"{image} is not tower-free")
-    pairs: list[tuple[int, Color, bool]] = []
-    u_cols: list[Column] = []
-    for k in range(1, len(qcols)):
-        left, right = qcols[k - 1], qcols[k]
-        if left.color is Color.TWO and right.color is Color.ONE:
-            color = Color.ONE if left.row is Row.BOTTOM else Color.TWO
-            tower_first = right.row is Row.BOTTOM
-            pairs.append((k, color, tower_first))
-            if tower_first:
-                u_cols += [tower(color), EMPTY]
-            else:
-                u_cols += [EMPTY, tower(color)]
-    return pairs, Configuration(u_cols)
+    if not is_tower_free(image):
+        raise NotTowerFreeError(f"{image} is not tower-free")
+    text = image.text
+    descents, pairs = _decode_pairs(text)
+    return [
+        (k, Color.ONE if text[k - 1] == "b" else Color.TWO, text[k] == "a")
+        for k in descents
+    ], _wrap(pairs)
 
 
-def phi(
-    configuration: Configuration,
-    trace: TraceLog | None = None,
-    _depth: int = 0,
-) -> Configuration:
+def phi(configuration: Configuration, trace: TraceLog | None = None) -> Configuration:
     """Map an ordered configuration to its tower-free image."""
-    configuration.validate()
-    profile = analyze(configuration)
-    if not profile.ordered:
+    text = configuration.validate().text
+    if not _is_ordered(text):
         raise NotOrderedError(f"{configuration} is not ordered")
-    if profile.tower_free:
-        _note(trace, _depth, "fixed point", configuration)
-        return configuration
-    skeleton = even_skeleton(configuration)
-    compressed = compress(skeleton)
-    _note(trace, _depth, "input", configuration)
-    _note(trace, _depth, "tower configuration", compressed)
-    inner_image = phi(compressed, trace, _depth + 1)
-    expanded = expand(inner_image)
-    _note(trace, _depth, "expanded image", expanded)
-    evens = sorted(profile.towers + profile.empties)
-    cols = list(configuration.columns)
-    for index, position in enumerate(evens):
-        cols[position - 1] = expanded.columns[index]
-    ones_count = profile.type[0]
-    for k in range(len(evens) // 2):
-        p1, p2 = evens[2 * k], evens[2 * k + 1]
-        variant = 1 if p2 <= ones_count else 2
-        section = Configuration(cols[p1 - 1 : p2])
-        image = phi_section_forward(section, variant)
-        cols[p1 - 1 : p2] = image.columns
-        _note(
-            trace,
-            _depth,
-            f"section {p1}..{p2}",
-            f"variant {variant}: {section} -> {image}",
-        )
-    result = Configuration(cols)
-    _note(trace, _depth, "image", result)
-    return result
+    return _wrap(_phi(text, trace, 0))
 
 
-def phi_inverse(
-    image: Configuration,
-    trace: TraceLog | None = None,
-    _depth: int = 0,
-) -> Configuration:
+def phi_inverse(image: Configuration, trace: TraceLog | None = None) -> Configuration:
     """Map a tower-free configuration back to its ordered preimage."""
-    qcols = image.columns
-    for col in qcols:
-        if not col.is_odd:
-            raise NotTowerFreeError(f"{image} is not tower-free")
-    pairs, pair_config = decode_pairs(image)
-    if not pairs:
-        _note(trace, _depth, "fixed point", image)
-        return image
-    _note(trace, _depth, "input", image)
-    _note(trace, _depth, "pair seed", pair_config)
-    inner_preimage = phi_inverse(compress(pair_config), trace, _depth + 1)
-    skeleton = expand(inner_preimage)
-    _note(trace, _depth, "skeleton", skeleton)
-    tower_one_pairs = sum(
-        1 for c in skeleton.columns if c.is_tower and c.color is Color.ONE
-    )
-    n = len(qcols)
-    out = list(qcols)
-    previous_end = 0
-    for k, (descent, _color, _tower_first) in enumerate(pairs):
-        if k < tower_one_pairs:
-            variant = 1
-            start = descent
-            while start > 1 and qcols[start - 2].color is Color.TWO:
-                start -= 1
-            end = descent + 1
-        else:
-            variant = 2
-            start = descent
-            end = descent + 1
-            while end < n and qcols[end].color is Color.ONE:
-                end += 1
-        if start <= previous_end:
-            raise NotInImageError(f"sections of {image} overlap")
-        previous_end = end
-        section = Configuration(qcols[start - 1 : end])
-        rebuilt = phi_section_inverse(
-            section,
-            variant,
-            (skeleton.columns[2 * k], skeleton.columns[2 * k + 1]),
-        )
-        out[start - 1 : end] = rebuilt.columns
-        _note(
-            trace,
-            _depth,
-            f"section {start}..{end}",
-            f"variant {variant}: {section} -> {rebuilt}",
-        )
-    result = Configuration(out)
-    if not result.is_balanced or not analyze(result).ordered:
-        raise NotInImageError(f"{image} reconstructs to {result}, which is not ordered")
-    _note(trace, _depth, "preimage", result)
-    return result
+    if not is_tower_free(image):
+        raise NotTowerFreeError(f"{image} is not tower-free")
+    return _wrap(_phi_inverse(image.text, trace, 0))
 
 
 def format_trace(trace: TraceLog) -> str:

@@ -177,8 +177,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         payload = report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as error:
+            return _fail(f"cannot write the report to {args.out}: {error.strerror or error}")
         totals = report.totals
         print(
             f"{args.suite}: {totals['pass']} passed, {totals['fail']} failed; "

@@ -11,6 +11,11 @@ The module provides the column/configuration data model, the subset-pair
 encoding of ordered configurations, enumeration of the two families that
 the bijection connects, and the compact one-character-per-column string
 format alongside a two-row grid rendering.
+
+A configuration is stored as its compact string, and the analysis below
+scans that string.  Column objects are a view of it, looked up from a
+table; the underscore helpers on compact strings are shared with the
+bijection, which runs on the strings too.
 """
 
 from __future__ import annotations
@@ -143,71 +148,121 @@ _CHAR_TO_COLUMN = {
 
 _COLUMN_TO_CHAR = {column: char for char, column in _CHAR_TO_COLUMN.items()}
 
+#: The compact alphabet, and its characters by column kind, color and
+#: occupied row.
+ALPHABET = "".join(_CHAR_TO_COLUMN)
+ODD_CHARS = "AaBb"
+TOWER_CHARS = "12"
+ONE_CHARS = "Aa1"
+TWO_CHARS = "Bb2"
+_TOP_CHARS = "A1B2"
+_BOTTOM_CHARS = "a1b2"
+
 #: The four odd columns in compact-alphabet order, used as the canonical
 #: enumeration order for tower-free configurations.
-ODD_COLUMNS = (
-    odd(Row.TOP, Color.ONE),
-    odd(Row.BOTTOM, Color.ONE),
-    odd(Row.TOP, Color.TWO),
-    odd(Row.BOTTOM, Color.TWO),
-)
+ODD_COLUMNS = tuple(_CHAR_TO_COLUMN[char] for char in ODD_CHARS)
+
+
+def _only(text: str, chars: str) -> bool:
+    """True when every character of text is one of chars."""
+    return not text.strip(chars)
+
+
+def _colored_slots(text: str) -> int:
+    # An odd column carries one colored slot, a tower two, an empty none.
+    return len(text) - text.count(".") + text.count("1") + text.count("2")
+
+
+def _one_slots(text: str) -> int:
+    return text.count("A") + text.count("a") + 2 * text.count("1")
+
+
+def _is_balanced(text: str) -> bool:
+    return text.count(".") == text.count("1") + text.count("2")
+
+
+def _is_ordered(text: str) -> bool:
+    """Color One only in the first k columns and color Two only after
+    them, k being the number of color-One slots."""
+    ones = _one_slots(text)
+    return _only(text[:ones], "." + ONE_CHARS) and _only(text[ones:], "." + TWO_CHARS)
+
+
+def _wrap(text: str) -> "Configuration":
+    """The configuration stored as text, which must already be over the
+    alphabet: nothing is checked."""
+    configuration = object.__new__(Configuration)
+    object.__setattr__(configuration, "text", text)
+    return configuration
 
 
 class Configuration:
-    """An immutable sequence of columns.
+    """An immutable sequence of columns, stored as its compact string.
 
-    Balance (colored slots == column count) is deliberately not checked
-    at construction: the bijection's bookkeeping builds short column
+    text holds one character of the alphabet .Aa1Bb2 per column, and
+    columns is a view of it as interned Column objects.  Balance
+    (colored slots == column count) is deliberately not checked at
+    construction: the bijection's bookkeeping builds short column
     fragments that are not balanced on their own.  Parsing and the
     subset-pair constructor return balanced configurations, and
     validate() checks balance on demand.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("text",)
 
-    columns: tuple[Column, ...]
+    text: str
 
     def __init__(self, columns: Iterable[Column] = ()):
-        object.__setattr__(self, "columns", tuple(columns))
+        try:
+            text = "".join([_COLUMN_TO_CHAR[column] for column in columns])
+        except KeyError as error:
+            raise ConfigurationError(f"{error.args[0]!r} is not a column") from None
+        object.__setattr__(self, "text", text)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Configuration is immutable")
 
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        return tuple(map(_CHAR_TO_COLUMN.__getitem__, self.text))
+
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.text)
 
     def __iter__(self) -> Iterator[Column]:
-        return iter(self.columns)
+        return map(_CHAR_TO_COLUMN.__getitem__, self.text)
 
     def __getitem__(self, index):
-        return self.columns[index]
+        if isinstance(index, slice):
+            return tuple(map(_CHAR_TO_COLUMN.__getitem__, self.text[index]))
+        return _CHAR_TO_COLUMN[self.text[index]]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Configuration):
-            return self.columns == other.columns
+            return self.text == other.text
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        return hash(self.text)
 
     def __repr__(self) -> str:
-        return f"Configuration({str(self)!r})"
+        return f"Configuration({self.text!r})"
 
     def __str__(self) -> str:
-        return "".join(_COLUMN_TO_CHAR[c] for c in self.columns)
+        return self.text
 
     @property
     def colored_slots(self) -> int:
-        return sum(c.colored_slots for c in self.columns)
+        return _colored_slots(self.text)
 
     @property
     def is_balanced(self) -> bool:
-        return self.colored_slots == len(self.columns)
+        return _is_balanced(self.text)
 
     def validate(self) -> "Configuration":
         if not self.is_balanced:
             raise InvalidSlotCountError(
-                f"{self.colored_slots} colored slots in {len(self.columns)} columns"
+                f"{self.colored_slots} colored slots in {len(self.text)} columns"
             )
         return self
 
@@ -230,59 +285,59 @@ class Profile:
     descents: tuple[int, ...]
 
 
+def _positions(text: str, chars: str) -> tuple[int, ...]:
+    return tuple([pos for pos, char in enumerate(text, start=1) if char in chars])
+
+
 def analyze(configuration: Configuration) -> Profile:
-    ones = 0
-    twos = 0
-    towers: list[int] = []
-    empties: list[int] = []
-    odds: list[int] = []
-    for pos, col in enumerate(configuration.columns, start=1):
-        if col.is_tower:
-            towers.append(pos)
-        elif col.is_empty:
-            empties.append(pos)
-        else:
-            odds.append(pos)
-        if col.color is Color.ONE:
-            ones += col.colored_slots
-        elif col.color is Color.TWO:
-            twos += col.colored_slots
-    ordered = True
-    for pos, col in enumerate(configuration.columns, start=1):
-        color = col.color
-        if color is Color.ONE and pos > ones:
-            ordered = False
-            break
-        if color is Color.TWO and pos <= ones:
-            ordered = False
-            break
-    descents = tuple(
-        pos
-        for pos in range(1, len(configuration.columns))
-        if configuration.columns[pos - 1].color is Color.TWO
-        and configuration.columns[pos].color is Color.ONE
-    )
+    text = configuration.text
+    ones = _one_slots(text)
+    towers = _positions(text, TOWER_CHARS)
+    empties = _positions(text, ".")
     return Profile(
-        type=(ones, twos),
-        towers=tuple(towers),
-        empties=tuple(empties),
-        odds=tuple(odds),
-        ordered=ordered,
+        type=(ones, _colored_slots(text) - ones),
+        towers=towers,
+        empties=empties,
+        odds=_positions(text, ODD_CHARS),
+        ordered=_is_ordered(text),
         tower_free=not towers and not empties,
-        descents=descents,
+        descents=tuple([
+            pos
+            for pos in range(1, len(text))
+            if text[pos - 1] in TWO_CHARS and text[pos] in ONE_CHARS
+        ]),
     )
 
 
 def is_ordered(configuration: Configuration) -> bool:
-    return analyze(configuration).ordered
+    return _is_ordered(configuration.text)
 
 
 def is_tower_free(configuration: Configuration) -> bool:
-    return all(c.is_odd for c in configuration.columns)
+    return _only(configuration.text, ODD_CHARS)
 
 
 def descents(configuration: Configuration) -> tuple[int, ...]:
     return analyze(configuration).descents
+
+
+def _block(width: int, subset: Iterable[int], chars: str) -> str:
+    """The compact string of a 2 x width block whose slots in subset carry
+    one color.  Slots are numbered top row first, left to right; chars
+    spells that color's empty, bottom-only, top-only and tower columns."""
+    marked = set(subset)
+    return "".join(
+        [chars[2 * (k in marked) + (width + k in marked)] for k in range(1, width + 1)]
+    )
+
+
+def _subset(block: str) -> frozenset[int]:
+    """The colored slots of a one-color block, numbered as in _block."""
+    width = len(block)
+    return frozenset(
+        [k for k, char in enumerate(block, start=1) if char in _TOP_CHARS]
+        + [width + k for k, char in enumerate(block, start=1) if char in _BOTTOM_CHARS]
+    )
 
 
 def from_subset_pair(
@@ -303,16 +358,7 @@ def from_subset_pair(
         raise ConfigurationError(f"ones must be an {i}-subset of 1..{2 * i}")
     if len(twos) != j or not all(1 <= k <= 2 * j for k in twos):
         raise ConfigurationError(f"twos must be a {j}-subset of 1..{2 * j}")
-    cols = []
-    for k in range(1, i + 1):
-        top = Color.ONE if k in ones else None
-        bottom = Color.ONE if i + k in ones else None
-        cols.append(_COLUMNS[(top, bottom)])
-    for k in range(1, j + 1):
-        top = Color.TWO if k in twos else None
-        bottom = Color.TWO if j + k in twos else None
-        cols.append(_COLUMNS[(top, bottom)])
-    return Configuration(cols)
+    return _wrap(_block(i, ones, ".aA1") + _block(j, twos, ".bB2"))
 
 
 def to_subset_pair(
@@ -323,21 +369,8 @@ def to_subset_pair(
     if not profile.ordered:
         raise NotOrderedError(f"{configuration} is not ordered")
     i, j = profile.type
-    ones = set()
-    twos = set()
-    for k in range(1, i + 1):
-        col = configuration.columns[k - 1]
-        if col.top is not None:
-            ones.add(k)
-        if col.bottom is not None:
-            ones.add(i + k)
-    for k in range(1, j + 1):
-        col = configuration.columns[i + k - 1]
-        if col.top is not None:
-            twos.add(k)
-        if col.bottom is not None:
-            twos.add(j + k)
-    return i, j, frozenset(ones), frozenset(twos)
+    text = configuration.text
+    return i, j, _subset(text[:i]), _subset(text[i : i + j])
 
 
 def enumerate_ordered(n: int) -> Iterator[Configuration]:
@@ -348,8 +381,9 @@ def enumerate_ordered(n: int) -> Iterator[Configuration]:
     for i in range(n + 1):
         j = n - i
         for ones in itertools.combinations(range(1, 2 * i + 1), i):
+            left = _block(i, ones, ".aA1")
             for twos in itertools.combinations(range(1, 2 * j + 1), j):
-                yield from_subset_pair(i, j, ones, twos)
+                yield _wrap(left + _block(j, twos, ".bB2"))
 
 
 def enumerate_tower_free(n: int) -> Iterator[Configuration]:
@@ -357,27 +391,24 @@ def enumerate_tower_free(n: int) -> Iterator[Configuration]:
     compact-alphabet order with the leftmost column slowest."""
     if n < 0:
         raise ConfigurationError("length must be nonnegative")
-    for cols in itertools.product(ODD_COLUMNS, repeat=n):
-        yield Configuration(cols)
+    for chars in itertools.product(ODD_CHARS, repeat=n):
+        yield _wrap("".join(chars))
 
 
 def parse_compact(text: str) -> Configuration:
     """Parse the one-character-per-column format and validate balance."""
-    cols = []
-    for position, char in enumerate(text, start=1):
-        try:
-            cols.append(_CHAR_TO_COLUMN[char])
-        except KeyError:
-            raise BadCharacterError(
-                f"character {char!r} at position {position} is not in the alphabet .Aa1Bb2"
-            ) from None
-    return Configuration(cols).validate()
+    if not _only(text, ALPHABET):
+        for position, char in enumerate(text, start=1):
+            if char not in ALPHABET:
+                raise BadCharacterError(
+                    f"character {char!r} at position {position} is not in the alphabet .Aa1Bb2"
+                )
+    return _wrap(text).validate()
 
 
-def _slot_char(slot: Color | None) -> str:
-    if slot is None:
-        return "."
-    return "O" if slot is Color.ONE else "X"
+#: Grid rows: O for a color-One slot, X for color Two, a dot for none.
+_TOP_ROW = str.maketrans(ALPHABET, ".O.OX.X")
+_BOTTOM_ROW = str.maketrans(ALPHABET, "..OO.XX")
 
 
 def render(configuration: Configuration, mode: str = "compact") -> str:
@@ -388,9 +419,8 @@ def render(configuration: Configuration, mode: str = "compact") -> str:
     color-Two slot, and a dot for an uncolored slot.
     """
     if mode == "compact":
-        return str(configuration)
+        return configuration.text
     if mode == "grid":
-        top = "".join(_slot_char(c.top) for c in configuration.columns)
-        bottom = "".join(_slot_char(c.bottom) for c in configuration.columns)
-        return top + "\n" + bottom
+        text = configuration.text
+        return text.translate(_TOP_ROW) + "\n" + text.translate(_BOTTOM_ROW)
     raise ValueError(f"unknown render mode {mode!r}")

@@ -107,6 +107,10 @@ def recurrence_check(t: int, n: int) -> bool:
 PolyOrRational = Union[Polynomial, Fraction, int]
 
 
+class RewritingMismatchError(ValueError):
+    """Two rewritings of one inclusion-exclusion summand disagree."""
+
+
 def inclusion_exclusion_sum(L: PolyOrRational, p: int) -> PolyOrRational:
     """Alternating sum over i of binomial(L-i, p-i)*binomial(L-p, i).
 
@@ -132,7 +136,10 @@ def inclusion_exclusion_sum(L: PolyOrRational, p: int) -> PolyOrRational:
         for i in range(p + 1):
             term = binomial(L - i, int(L) - p) * binomial(L - p, i)
             counting = counting - term if i % 2 else counting + term
-        assert counting == total, "the two summand rewritings disagree"
+        if counting != total:
+            raise RewritingMismatchError(
+                f"L={L}, p={p}: the summand rewritings give {total} and {counting}"
+            )
     return total
 
 

@@ -94,6 +94,19 @@ class Report:
         return "\n".join(lines)
 
 
+#: The expected side of a case that raised instead of returning a verdict.
+NO_EXCEPTION = "no exception"
+
+
+def _outcome(case: Case) -> tuple[str, str]:
+    """The case's (expected, actual) pair; a case that raises fails with
+    the exception's type and message as its actual value."""
+    try:
+        return case.run()
+    except Exception as error:  # one broken case must not abort the report
+        return NO_EXCEPTION, f"{type(error).__name__}: {error}"
+
+
 def run_cases(suite: str, cases: Iterable[Case], jobs: int = 1) -> Report:
     """Execute cases (optionally in a thread pool) into a Report whose
     order matches the case list regardless of scheduling."""
@@ -101,9 +114,9 @@ def run_cases(suite: str, cases: Iterable[Case], jobs: int = 1) -> Report:
     start = time.perf_counter()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda c: c.run(), cases))
+            outcomes = list(pool.map(_outcome, cases))
     else:
-        outcomes = [c.run() for c in cases]
+        outcomes = [_outcome(c) for c in cases]
     wall = time.perf_counter() - start
     results = tuple(
         CaseResult(

@@ -45,6 +45,52 @@ def test_map_trace(capsys):
     assert GOLDEN_IMAGE in out.splitlines()
 
 
+TRACE_FORWARD = """\
+input: .A11.b2B2..
+tower configuration: aA2.
+  input: aA2.
+  tower configuration: B
+    fixed point: B
+  expanded image: 2.
+  section 3..4: variant 2: 2. -> Ba
+  image: aABa
+expanded image: .11.2..1
+section 1..3: variant 1: .A1 -> BbA
+section 4..5: variant 1: 1. -> ba
+section 7..9: variant 2: 2B. -> BaA
+section 10..11: variant 2: .1 -> bA
+image: BbAbabBaAbA
+BbAbabBaAbA
+X.O...X.O.O
+.X.XOX.O.X.
+"""
+
+TRACE_INVERSE = """\
+input: aBBAaaBbABBBb
+pair seed: .2.1
+  input: ba
+  pair seed: 1.
+    fixed point: A
+  skeleton: 1.
+  section 1..2: variant 1: ba -> 1.
+  preimage: 1.
+skeleton: 11..
+section 2..4: variant 1: BBA -> 1A1
+section 7..9: variant 1: BbA -> .A.
+preimage: a1A1aa.A.BBBb
+a1A1aa.A.BBBb
+.OOO...O.XXX.
+OO.OOO......X
+"""
+
+
+def test_map_trace_full_text(capsys):
+    code, out, err = run_cli(["map", GOLDEN, "--forward", "--trace"], capsys)
+    assert (code, out, err) == (0, TRACE_FORWARD, "")
+    code, out, err = run_cli(["map", "aBBAaaBbABBBb", "--inverse", "--trace"], capsys)
+    assert (code, out, err) == (0, TRACE_INVERSE, "")
+
+
 def test_map_rejects_bad_input(capsys):
     for argv in (
         ["map", "1x", "--forward"],  # alphabet
@@ -213,6 +259,16 @@ def test_verify_out_file(tmp_path, capsys):
     assert payload["totals"]["fail"] == 0
 
 
+def test_verify_out_to_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    argv = ["verify", "--suite", "bijection", "--n-max", "1", "--out", str(target)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
 def test_verify_rejects_bad_bounds(capsys):
     code, _, err = run_cli(
         ["verify", "--suite", "bijection", "--n-max", "11"], capsys
@@ -244,6 +300,27 @@ def test_verify_reports_failures_with_exit_one(monkeypatch, capsys):
     assert "actual:   2" in out
     assert "PASS synthetic/fine" in out
     assert "1 passed, 1 failed" in out.splitlines()[-1]
+
+
+def test_verify_reports_raising_case_and_runs_the_rest(monkeypatch, capsys):
+    def broken():
+        raise ZeroDivisionError("division by zero")
+
+    synthetic = [
+        suites.Case("synthetic/first", {}, lambda: ("x", "x")),
+        suites.Case("synthetic/raises", {"why": "plumbing test"}, broken),
+        suites.Case("synthetic/last", {}, lambda: ("y", "y")),
+    ]
+    monkeypatch.setattr(suites, "bijection_suite", lambda n_max: synthetic)
+    code, out, _ = run_cli(["verify", "--suite", "bijection", "--format", "json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert [case["id"] for case in payload["cases"]] == [
+        "synthetic/first", "synthetic/raises", "synthetic/last",
+    ]
+    assert [case["pass"] for case in payload["cases"]] == [True, False, True]
+    assert payload["cases"][1]["actual"] == "ZeroDivisionError: division by zero"
+    assert payload["totals"] == {"pass": 2, "fail": 1}
 
 
 def test_main_requires_subcommand(capsys):

@@ -96,6 +96,15 @@ def test_configuration_sequence_protocol():
     assert c[2:4] == (tower(Color.ONE), tower(Color.ONE))
 
 
+def test_configuration_stores_compact_text():
+    c = parse_compact(GOLDEN)
+    assert c.text == GOLDEN
+    assert all(a is b for a, b in zip(c.columns, Configuration(c.columns).columns))
+    assert Configuration(c.columns).text == GOLDEN
+    with pytest.raises(ConfigurationError):
+        Configuration(["A"])
+
+
 def test_configuration_equality_and_hash():
     assert parse_compact("1.") == parse_compact("1.")
     assert parse_compact("1.") != parse_compact(".1")

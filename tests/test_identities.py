@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomconv import identities
 from binomconv.exactnum import OutOfRangeError, Polynomial, X, binomial
 from binomconv.identities import (
     ConvolutionSpec,
+    RewritingMismatchError,
     closed_form,
     convolution_sum,
     delta_formula_check,
@@ -196,6 +198,17 @@ def test_inclusion_exclusion_rejects_small_integer_upper_index():
         inclusion_exclusion_sum(3, 5)
     with pytest.raises(ValueError):
         inclusion_exclusion_sum(5, -1)
+
+
+def test_inclusion_exclusion_reports_disagreeing_rewritings(monkeypatch):
+    # At L=5, p=2 only the subset-counting form asks for lower index
+    # L-p = 3, so skewing that value makes the two rewritings disagree.
+    def skewed(x, k):
+        return binomial(x, k) + (k == 3)
+
+    monkeypatch.setattr(identities, "binomial", skewed)
+    with pytest.raises(RewritingMismatchError):
+        inclusion_exclusion_sum(5, 2)
 
 
 # -------------------------------------------------------------- offset shifts
