@@ -8,8 +8,8 @@ differences.  Everything here is exact; floats never appear.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Iterable, Union
+from math import comb, factorial, lcm
+from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -20,6 +20,27 @@ NEG_INFINITY = float("-inf")
 
 class OutOfRangeError(ValueError):
     """An index or order parameter lies outside its admissible range."""
+
+
+def exact_rational(value: object) -> Fraction:
+    """value as a Fraction; only an int or a Fraction is accepted, so a
+    float cannot slip in as its binary expansion."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(
+        f"expected an int or a Fraction, got {type(value).__name__} {value!r}"
+    )
+
+
+def scaled_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers v*D for the lcm D of the values' denominators, and D."""
+    # A list, not a generator, feeds lcm: a tuple built from an iterator
+    # of unknown length is resized, and CPython's tuple free lists then
+    # keep one dead tuple per call until the next full collection.
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class Polynomial:

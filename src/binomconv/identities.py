@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Union
 
 from .exactnum import (
@@ -26,8 +27,10 @@ from .exactnum import (
     Polynomial,
     Scalar,
     binomial,
+    exact_rational,
     falling_factorial,
     finite_difference,
+    scaled_to_integers,
 )
 
 
@@ -41,7 +44,7 @@ class ConvolutionSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError("n must be a nonnegative integer")
-        offsets = tuple(Fraction(o) for o in self.offsets)
+        offsets = tuple(map(exact_rational, self.offsets))
         if not offsets:
             raise ValueError("at least one offset is required")
         object.__setattr__(self, "offsets", offsets)
@@ -59,17 +62,18 @@ def convolution_sum(spec: ConvolutionSpec) -> Fraction:
     """The t-fold convolution sum of offset central binomial columns.
 
     Computed by iterated truncated sequence convolution rather than by
-    enumerating compositions, so the cost is t*n^2 exact products.
+    enumerating compositions, so the cost is t*n^2 exact products.  Each
+    column is scaled to integers by the lcm of its denominators, the
+    convolutions run over integers, and the sum is divided by the
+    product of the column scales once, at the end.
     """
     n = spec.n
-    acc = _offset_column(spec.offsets[0], n)
+    acc, scale = scaled_to_integers(_offset_column(spec.offsets[0], n))
     for offset in spec.offsets[1:]:
-        col = _offset_column(offset, n)
-        acc = [
-            sum((acc[k] * col[m - k] for k in range(m + 1)), Fraction(0))
-            for m in range(n + 1)
-        ]
-    return acc[n]
+        col, col_scale = scaled_to_integers(_offset_column(offset, n))
+        acc = [sum(map(mul, acc[: m + 1], col[m::-1])) for m in range(n + 1)]
+        scale *= col_scale
+    return Fraction(acc[n], scale)
 
 
 def closed_form(n: int, t: Scalar) -> Fraction:

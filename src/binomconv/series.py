@@ -2,10 +2,17 @@
 
 Builds the central binomial generating function g (coefficients
 binomial(2n, n), so g = (1-4x)^(-1/2)) and the Catalan generating
-function C from first-principles recurrences, implements rational
-powers via series exp/log, and verifies the derivative and coefficient
-identities these functions satisfy, together with the telescoping
-certificate behind the coefficient formula for g*C^l.
+function C from first-principles recurrences, computes rational powers
+with J.C.P. Miller's power recurrence run over integers, and verifies
+the derivative and coefficient identities these functions satisfy,
+together with the telescoping certificate behind the coefficient
+formula for g*C^l.  Series exp and log stay as a second, independent
+route to rational powers, which the route-independence case checks
+against the recurrence.
+
+Series products and powers scale their rational inputs to integers,
+run their inner loops over integers, and build one Fraction per output
+coefficient, so results are the exact, fully reduced rationals.
 
 Everything is truncated at an explicit order N and arithmetic never
 reads past it; binary operations require equal orders.
@@ -15,14 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, perm
+from operator import mul
 
 from .exactnum import (
     OutOfRangeError,
     Polynomial,
     Scalar,
     binomial,
+    exact_rational,
     falling_factorial,
+    scaled_to_integers,
 )
 
 
@@ -41,14 +51,14 @@ class TruncatedSeries:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(map(exact_rational, self.coefficients))
         if not coeffs:
             raise ValueError("a truncated series has at least its constant term")
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
-        return cls((Fraction(value),) + (Fraction(0),) * order)
+        return cls((value,) + (0,) * order)
 
     @property
     def order(self) -> int:
@@ -105,11 +115,15 @@ class TruncatedSeries:
     def __mul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            a, b = self.coefficients, other.coefficients
-            out = [Fraction(0)] * (self.order + 1)
-            for k in range(self.order + 1):
-                out[k] = sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
-            return TruncatedSeries(out)
+            a, scale_a = scaled_to_integers(self.coefficients)
+            b, scale_b = scaled_to_integers(other.coefficients)
+            scale = scale_a * scale_b
+            return TruncatedSeries(
+                [
+                    Fraction(sum(map(mul, a[: k + 1], b[k::-1])), scale)
+                    for k in range(len(a))
+                ]
+            )
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(tuple(c * other for c in self.coefficients))
         return NotImplemented
@@ -182,13 +196,44 @@ def series_exp(u: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
-    """f**r for rational r, as exp(r*log f); needs constant term 1.
+    """f**r for rational r; needs constant term 1.
 
-    This route never consults any closed-form coefficient formula, so
-    it can serve as one side of a coefficient identity check.
+    h = f**r solves f*h' = r*f'*h, which gives J.C.P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7)
+
+        n*h_n = sum over k = 1..n of ((r+1)k - n)*f_k*h_(n-k).
+
+    With r = p/q in lowest terms and D the lcm of f's denominators,
+    F_k = f_k*D^k and A_n = n!*q^n*D^n*h_n are integers, and
+
+        A_n = sum over k of ((p+q)k - nq)*F_k*q^(k-1)*A_(n-k)*(n-1)!/(n-k)!,
+
+    so the loop runs over integers and each h_n is one Fraction
+    A_n/(n!*q^n*D^n).  This route never consults any closed-form
+    coefficient formula, so it can serve as one side of a coefficient
+    identity check; series_exp(series_log(f)*r) is a second route to
+    the same series.
     """
-    r = Fraction(r)
-    return series_exp(series_log(f) * r)
+    r = exact_rational(r)
+    if f[0] != 1:
+        raise NonUnitConstantTermError(f"constant term is {f[0]}, need 1")
+    p, q = r.numerator, r.denominator
+    f_scaled, scale = scaled_to_integers(f.coefficients)  # f_k*D
+    # weighted[k-1] = F_k*q^(k-1) = (f_k*D)*(D*q)^(k-1) for k >= 1
+    weighted = [c * (scale * q) ** j for j, c in enumerate(f_scaled[1:])]
+    numerators = [1]  # A_0..A_n
+    out = [Fraction(1)]
+    denominator = 1  # n!*q^n*D^n
+    for n in range(1, f.order + 1):
+        acc = 0
+        falling = 1  # (n-1)!/(n-k)!
+        for k in range(1, n + 1):
+            acc += ((p + q) * k - n * q) * weighted[k - 1] * numerators[n - k] * falling
+            falling *= n - k
+        numerators.append(acc)
+        denominator *= n * q * scale
+        out.append(Fraction(acc, denominator))
+    return TruncatedSeries(out)
 
 
 def nth_derivative(f: TruncatedSeries, n: int) -> TruncatedSeries:

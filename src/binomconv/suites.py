@@ -535,6 +535,9 @@ POWER_ROUTE_PARAMETERS = (
 
 
 def route_independence_failures(order: int) -> list[str]:
+    """g by its recurrence and as (1-4x)^(-1/2); g^t by the power
+    recurrence and as (1-4x)^(-t/2); and g^t and C^t by the power
+    recurrence and as exp(t*log)."""
     failures = []
     g = series.base_series("g", order)
     if g != series.base_series("binomial_power", order, Fraction(-1, 2)):
@@ -544,6 +547,11 @@ def route_independence_failures(order: int) -> list[str]:
             "binomial_power", order, -t / 2
         ):
             failures.append(f"t={t}: power route disagrees")
+    for name, f in (("g", g), ("C", series.base_series("catalan", order))):
+        log_f = series.series_log(f)
+        for t in POWER_ROUTE_PARAMETERS:
+            if series.series_pow(f, t) != series.series_exp(log_f * t):
+                failures.append(f"{name}^{t}: power recurrence and exp/log disagree")
     return failures
 
 

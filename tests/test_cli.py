@@ -1,6 +1,10 @@
 """Command-line interface: plumbing, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,24 @@ def test_verify_out_to_missing_directory(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.exists()
+
+
+def test_verify_passes_under_python_optimize():
+    # python -O strips assert; every suite must still run and pass without it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for bounds in (
+        ["--suite", "series", "--order", "16"],
+        ["--suite", "identities", "--n-max", "8", "--t-max", "3"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "binomconv.cli", "verify", *bounds],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_verify_rejects_bad_bounds(capsys):

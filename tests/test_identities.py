@@ -21,7 +21,7 @@ from binomconv.identities import (
     shift_invariance_poly,
 )
 
-rational_offsets = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+rational_offsets = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def weak_compositions(n, parts):
@@ -54,6 +54,8 @@ def test_spec_validation():
         ConvolutionSpec(2, ())
     with pytest.raises(ValueError):
         ConvolutionSpec(Fraction(2), (Fraction(0),))
+    with pytest.raises(TypeError):
+        ConvolutionSpec(2, (0.5, -0.5))
     spec = ConvolutionSpec(2, (1, Fraction(-1, 2)))
     assert spec.offsets == (Fraction(1), Fraction(-1, 2))
     assert all(isinstance(o, Fraction) for o in spec.offsets)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomconv.exactnum import Polynomial, X, OutOfRangeError, binomial
@@ -29,6 +29,21 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 unit_series = st.lists(rationals, min_size=3, max_size=6).map(
     lambda tail: TruncatedSeries([Fraction(1), *tail])
 )
+mixed = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+series_pairs = st.integers(0, 7).flatmap(
+    lambda order: st.tuples(
+        st.lists(mixed, min_size=order + 1, max_size=order + 1),
+        st.lists(mixed, min_size=order + 1, max_size=order + 1),
+    )
+)
+
+
+def cauchy_product(a, b):
+    """The truncated product by the textbook Fraction double loop; test-only."""
+    return tuple(
+        sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+        for k in range(len(a))
+    )
 
 
 # ------------------------------------------------------------------ container
@@ -74,6 +89,13 @@ def test_series_arithmetic_requires_equal_orders():
             op()
 
 
+def test_series_rejects_floats():
+    with pytest.raises(TypeError):
+        TruncatedSeries((1, 0.1))
+    with pytest.raises(TypeError):
+        TruncatedSeries.constant(0.5, 3)
+
+
 def test_series_scalar_arithmetic():
     f = TruncatedSeries((1, 2, 3))
     assert (f + 1)[0] == 2 and (f + 1)[1] == 2
@@ -89,6 +111,16 @@ def test_series_multiplication_truncates():
     assert ((x * x) * x).coefficients == (0, 0, 0, 1)
     # x^4 falls off the order-3 truncation entirely.
     assert (((x * x) * x) * x).coefficients == (0, 0, 0, 0)
+
+
+@given(pair=series_pairs)
+@example(pair=((0, 0, 0), (Fraction(1, 3), 2, Fraction(-5, 7))))
+@example(pair=((0,), (0,)))
+@settings(max_examples=60)
+def test_series_product_matches_cauchy_oracle(pair):
+    a, b = pair
+    product = TruncatedSeries(a) * TruncatedSeries(b)
+    assert product.coefficients == cauchy_product(a, b)
 
 
 @given(f=unit_series, g=unit_series, h=unit_series)
@@ -161,6 +193,28 @@ def test_log_turns_products_into_sums(f, g):
     order = min(f.order, g.order)
     f, g = f.truncate(order), g.truncate(order)
     assert series_log(f * g) == series_log(f) + series_log(g)
+
+
+@given(f=unit_series, r=st.fractions(min_value=-3, max_value=3, max_denominator=3))
+@example(f=TruncatedSeries((1, Fraction(1, 2), Fraction(-2, 3))), r=Fraction(0))
+@example(f=TruncatedSeries((1, Fraction(1, 2), Fraction(-2, 3))), r=Fraction(-5, 3))
+@settings(max_examples=40, deadline=None)
+def test_series_pow_matches_exp_log(f, r):
+    assert series_pow(f, r) == series_exp(series_log(f) * r)
+
+
+def test_series_pow_requires_unit_constant():
+    with pytest.raises(NonUnitConstantTermError):
+        series_pow(TruncatedSeries((2, 1)), Fraction(1, 2))
+
+
+def test_series_pow_of_order_zero():
+    assert series_pow(TruncatedSeries((1,)), Fraction(-7, 3)).coefficients == (1,)
+
+
+def test_series_pow_rejects_float_exponent():
+    with pytest.raises(TypeError):
+        series_pow(base_series("g", 4), 0.5)
 
 
 def test_series_pow_matches_repeated_multiplication():
