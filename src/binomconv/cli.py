@@ -3,26 +3,24 @@
 Subcommands: map (apply the bijection or its inverse to one
 configuration), render (re-serialize a configuration), enumerate (list
 a configuration family), and verify (run the verification suites and
-emit a text or JSON report).
+emit a text or JSON report).  verify runs the cases in order, in one
+process; a bound flag left out takes its value from
+suites.DEFAULT_BOUNDS.
 
 Exit codes: 0 on success, 1 when a verification case fails, 2 for
-usage, parse, or domain errors.
+usage, parse, domain or output errors (a reader that closes the pipe
+early included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
 from . import bijection, configuration, suites
-
-VERIFY_DEFAULTS = {
-    "bijection": {"n_max": 8},
-    "identities": {"n_max": 64, "t_max": 8},
-    "series": {"order": 64},
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,10 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", type=int, default=None, help="series truncation order"
     )
     verify_parser.add_argument(
-        "--seed", type=int, default=0, help="seed for random rational sampling"
-    )
-    verify_parser.add_argument(
-        "--jobs", type=int, default=1, help="concurrent case execution"
+        "--seed", type=int, default=None, help="seed for random rational sampling"
     )
     verify_parser.add_argument(
         "--format", choices=("text", "json"), default="text"
@@ -149,29 +144,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_cases(name: str, args: argparse.Namespace) -> list[suites.Case]:
-    if name == "bijection":
-        n_max = args.n_max if args.n_max is not None else VERIFY_DEFAULTS[name]["n_max"]
-        return suites.bijection_suite(n_max=n_max)
-    if name == "identities":
-        n_max = args.n_max if args.n_max is not None else VERIFY_DEFAULTS[name]["n_max"]
-        t_max = args.t_max if args.t_max is not None else VERIFY_DEFAULTS[name]["t_max"]
-        return suites.identities_suite(n_max=n_max, t_max=t_max, seed=args.seed)
-    n_order = args.order if args.order is not None else VERIFY_DEFAULTS["series"]["order"]
-    return suites.series_suite(order=n_order)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        return _fail("jobs must be at least 1")
     selected = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
     try:
         cases = []
         for name in selected:
-            cases.extend(_build_cases(name, args))
+            bounds = {
+                key: default if getattr(args, key) is None else getattr(args, key)
+                for key, default in suites.DEFAULT_BOUNDS[name].items()
+            }
+            cases.extend(getattr(suites, f"{name}_suite")(**bounds))
     except ValueError as error:
         return _fail(str(error))
-    report = suites.run_cases(args.suite, cases, jobs=args.jobs)
+    report = suites.run_cases(args.suite, cases)
     if args.format == "json":
         payload = json.dumps(report.to_dict(), indent=2)
     else:
@@ -195,13 +180,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "map":
-        return cmd_map(args)
-    if args.command == "render":
-        return cmd_render(args)
-    if args.command == "enumerate":
-        return cmd_enumerate(args)
-    return cmd_verify(args)
+    command = {
+        "map": cmd_map,
+        "render": cmd_render,
+        "enumerate": cmd_enumerate,
+        "verify": cmd_verify,
+    }[args.command]
+    try:
+        return command(args)
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so the
+        # interpreter's flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
 
 
 if __name__ == "__main__":

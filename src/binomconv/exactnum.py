@@ -54,7 +54,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [exact_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
@@ -86,7 +86,7 @@ class Polynomial:
         return self._coeffs[0] if self._coeffs else Fraction(0)
 
     def __call__(self, point: Scalar) -> Fraction:
-        point = Fraction(point)
+        point = exact_rational(point)
         value = Fraction(0)
         for c in reversed(self._coeffs):
             value = value * point + c
@@ -154,7 +154,7 @@ class Polynomial:
 
     def taylor_shift(self, offset: Scalar) -> "Polynomial":
         """Substitute (variable + offset) for the variable."""
-        shift = Polynomial((Fraction(offset), 1))
+        shift = Polynomial((exact_rational(offset), 1))
         result = Polynomial()
         for c in reversed(self._coeffs):
             result = result * shift + c
@@ -222,7 +222,7 @@ def falling_factorial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
         for m in range(k):
             result = result * (x - m)
         return result
-    x = Fraction(x)
+    x = exact_rational(x)
     result = Fraction(1)
     for m in range(k):
         result *= x - m
@@ -237,6 +237,8 @@ def binomial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
     """
     if not isinstance(k, int):
         raise OutOfRangeError("binomial lower index must be an integer")
+    if not isinstance(x, Polynomial):
+        x = exact_rational(x)
     if k < 0:
         return Polynomial() if isinstance(x, Polynomial) else Fraction(0)
     return falling_factorial(x, k) * Fraction(1, factorial(k))

@@ -80,7 +80,7 @@ def closed_form(n: int, t: Scalar) -> Fraction:
     """4^n * binomial(n + t/2 - 1, n), the zero-offset sum in closed form."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    t = Fraction(t)
+    t = exact_rational(t)
     return Fraction(4) ** n * binomial(n + t / 2 - 1, n)
 
 
@@ -128,7 +128,7 @@ def inclusion_exclusion_sum(L: PolyOrRational, p: int) -> PolyOrRational:
         raise ValueError("p must be a nonnegative integer")
     symbolic = isinstance(L, Polynomial)
     if not symbolic:
-        L = Fraction(L)
+        L = exact_rational(L)
         if L.denominator == 1 and L < p:
             raise ValueError("integer L must be at least p")
     total: PolyOrRational = Polynomial() if symbolic else Fraction(0)
@@ -152,7 +152,7 @@ def opposite_offsets_check(n: int, L: Scalar) -> bool:
     offsets [-L, L] equals 4^n for every rational L."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    L = Fraction(L)
+    L = exact_rational(L)
     return convolution_sum(ConvolutionSpec(n, (-L, L))) == Fraction(4) ** n
 
 
@@ -164,7 +164,7 @@ def shift_invariance_poly(n: int, a: Scalar) -> Polynomial:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    a = Fraction(a)
+    a = exact_rational(a)
     total = Polynomial()
     for i in range(n + 1):
         j = n - i
@@ -200,7 +200,7 @@ def delta_formula_check(n: int, a: Scalar, i: int, m: int) -> bool:
         raise OutOfRangeError("m must be a positive integer")
     if m > n - i:
         raise OutOfRangeError(f"m must be at most n - i = {n - i}")
-    a = Fraction(a)
+    a = exact_rational(a)
     lhs = finite_difference(lambda index: _difference_poly(n, a, index), m, i)
     rhs = (
         falling_factorial(a + n + m, m)

@@ -160,7 +160,7 @@ def base_series(kind: str, order: int, s: Scalar | None = None) -> TruncatedSeri
     if kind == "binomial_power":
         if s is None:
             raise ValueError("binomial_power needs the exponent s")
-        s = Fraction(s)
+        s = exact_rational(s)
         return TruncatedSeries(
             [Fraction(-4) ** n * binomial(s, n) for n in range(order + 1)]
         )
@@ -268,7 +268,7 @@ def derivative_identity_check(
         raise ValueError("n must be a positive integer")
     if order < n + 8:
         raise ValueError("order must be at least n + 8 for a working margin")
-    param = Fraction(param)
+    param = exact_rational(param)
     target = order - n
     if variant == "gt":
         g = base_series("g", order)
@@ -310,7 +310,7 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int = 64) -> 
         [x^n] C^l = l*(2n+l-1 falling n-1)/n!, a cancellation-safe form
         that stays finite when 2n + l = 0.
     """
-    param = Fraction(param)
+    param = exact_rational(param)
     if variant == "gt":
         f = series_pow(base_series("g", order), param)
         return all(

@@ -1,22 +1,25 @@
 """Verification suites: named cases over the bijection, the summation
 identities, and the series identities.
 
-Each case computes an (expected, actual) string pair; sweeping cases
-summarize a whole family and report the first few counterexamples in
-the actual string, so a failure is directly actionable.  Case lists are
+A case is data: an id, a module-level checker and the keyword
+arguments it is called with, so the reported inputs are the call itself
+and a case pickles.  An exact case compares the checker's result, as a
+string, with a pinned expected value; a family case's checker returns
+the failures of a whole sweep, and the report shows the first few
+counterexamples, so a failure is directly actionable.  Case lists are
 deterministic functions of their bounds and seed, and cases are
-independent, so they may run in any order or in parallel.
+independent.  The default bounds of the three suites live in one table,
+DEFAULT_BOUNDS, which the builders and the command line both read.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from . import bijection, configuration, identities, series
 from .exactnum import Polynomial
@@ -26,14 +29,31 @@ MAX_REPORTED_FAILURES = 4
 
 BIJECTION_LENGTH_LIMIT = 10
 
+#: Keyword arguments of each suite builder when no bound is given.
+DEFAULT_BOUNDS: dict[str, dict[str, int]] = {
+    "bijection": {"n_max": 8},
+    "identities": {"n_max": 64, "t_max": 8, "seed": 0},
+    "series": {"order": 64},
+}
+
 
 @dataclass(frozen=True)
 class Case:
-    """One named check: run() returns the (expected, actual) pair."""
+    """One named check: run(**kwargs), where run is a module-level
+    function, so a case pickles.
+
+    With expected None, run returns a list of failure strings; otherwise
+    str(result) must equal expected.
+    """
 
     id: str
-    inputs: dict[str, str]
-    run: Callable[[], tuple[str, str]]
+    run: Callable[..., Any]
+    kwargs: dict[str, Any]
+    expected: str | None = None
+
+    @property
+    def inputs(self) -> dict[str, str]:
+        return {key: str(value) for key, value in self.kwargs.items()}
 
 
 @dataclass(frozen=True)
@@ -102,21 +122,19 @@ def _outcome(case: Case) -> tuple[str, str]:
     """The case's (expected, actual) pair; a case that raises fails with
     the exception's type and message as its actual value."""
     try:
-        return case.run()
+        result = case.run(**case.kwargs)
     except Exception as error:  # one broken case must not abort the report
         return NO_EXCEPTION, f"{type(error).__name__}: {error}"
+    if case.expected is None:
+        return _summarize(result)
+    return case.expected, str(result)
 
 
-def run_cases(suite: str, cases: Iterable[Case], jobs: int = 1) -> Report:
-    """Execute cases (optionally in a thread pool) into a Report whose
-    order matches the case list regardless of scheduling."""
+def run_cases(suite: str, cases: Iterable[Case]) -> Report:
+    """Execute cases in order into a Report."""
     cases = list(cases)
     start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_outcome, cases))
-    else:
-        outcomes = [_outcome(c) for c in cases]
+    outcomes = [_outcome(c) for c in cases]
     wall = time.perf_counter() - start
     results = tuple(
         CaseResult(
@@ -138,16 +156,6 @@ def _summarize(failures: list[str]) -> tuple[str, str]:
     if len(failures) > MAX_REPORTED_FAILURES:
         shown += f"; and {len(failures) - MAX_REPORTED_FAILURES} more"
     return OK, shown
-
-
-def _exact_case(case_id: str, inputs: dict[str, str], expected: str,
-                compute: Callable[[], str]) -> Case:
-    return Case(case_id, inputs, lambda: (expected, compute()))
-
-
-def _family_case(case_id: str, inputs: dict[str, str],
-                 collect: Callable[[], list[str]]) -> Case:
-    return Case(case_id, inputs, lambda: _summarize(collect()))
 
 
 # ---------------------------------------------------------------- bijection
@@ -203,19 +211,16 @@ def exhaustive_bijection_failures(n: int) -> list[str]:
     return failures
 
 
-GOLDEN_FORWARD = (".A11.b2B2..", "BbAbabBaAbA")
-GOLDEN_CHAIN = (".A11.b2B2..", ".11.22.. -> aA2. -> B")
-GOLDEN_INVERSE = (
-    ("ba", "1."),
-    ("BAbA", "11.."),
-    ("aBBAaaBbABBBb", "a1A1aa.A.BBBb"),
-)
-GOLDEN_FIXED_POINT = "AB"
+def phi_of_compact(config: str) -> configuration.Configuration:
+    return bijection.phi(configuration.parse_compact(config))
 
 
-def _chain_string(compact: str) -> str:
-    config = configuration.parse_compact(compact)
-    skeleton = bijection.even_skeleton(config)
+def phi_inverse_of_compact(config: str) -> configuration.Configuration:
+    return bijection.phi_inverse(configuration.parse_compact(config))
+
+
+def _chain_string(config: str) -> str:
+    skeleton = bijection.even_skeleton(configuration.parse_compact(config))
     steps = [str(skeleton)]
     current = bijection.compress(skeleton)
     steps.append(str(current))
@@ -225,53 +230,26 @@ def _chain_string(compact: str) -> str:
     return " -> ".join(steps)
 
 
-def bijection_suite(n_max: int = 8) -> list[Case]:
+def bijection_suite(n_max: int = DEFAULT_BOUNDS["bijection"]["n_max"]) -> list[Case]:
     if not 0 <= n_max <= BIJECTION_LENGTH_LIMIT:
         raise ValueError(
             f"bijection sweeps are bounded at length {BIJECTION_LENGTH_LIMIT}"
         )
-    cases = [
-        _exact_case(
-            "bijection/golden/forward",
-            {"config": GOLDEN_FORWARD[0]},
-            GOLDEN_FORWARD[1],
-            lambda: str(bijection.phi(configuration.parse_compact(GOLDEN_FORWARD[0]))),
-        ),
-        _exact_case(
-            "bijection/golden/skeleton-chain",
-            {"config": GOLDEN_CHAIN[0]},
-            GOLDEN_CHAIN[1],
-            lambda: _chain_string(GOLDEN_CHAIN[0]),
-        ),
-    ]
-    for image, preimage in GOLDEN_INVERSE:
-        cases.append(
-            _exact_case(
-                f"bijection/golden/inverse-{image}",
-                {"config": image},
-                preimage,
-                lambda image=image: str(
-                    bijection.phi_inverse(configuration.parse_compact(image))
-                ),
-            )
-        )
-    cases.append(
-        _exact_case(
-            "bijection/golden/fixed-point",
-            {"config": GOLDEN_FIXED_POINT},
-            GOLDEN_FIXED_POINT,
-            lambda: str(bijection.phi(configuration.parse_compact(GOLDEN_FIXED_POINT))),
-        )
+    golden = (
+        ("forward", phi_of_compact, ".A11.b2B2..", "BbAbabBaAbA"),
+        ("skeleton-chain", _chain_string, ".A11.b2B2..", ".11.22.. -> aA2. -> B"),
+        ("inverse-ba", phi_inverse_of_compact, "ba", "1."),
+        ("inverse-BAbA", phi_inverse_of_compact, "BAbA", "11.."),
+        ("inverse-aBBAaaBbABBBb", phi_inverse_of_compact, "aBBAaaBbABBBb", "a1A1aa.A.BBBb"),
+        ("fixed-point", phi_of_compact, "AB", "AB"),
     )
-    for n in range(n_max + 1):
-        cases.append(
-            _family_case(
-                f"bijection/exhaustive/n={n}",
-                {"n": str(n)},
-                lambda n=n: exhaustive_bijection_failures(n),
-            )
-        )
-    return cases
+    return [
+        Case(f"bijection/golden/{name}", run, {"config": config}, expected)
+        for name, run, config, expected in golden
+    ] + [
+        Case(f"bijection/exhaustive/n={n}", exhaustive_bijection_failures, {"n": n})
+        for n in range(n_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------- identities
@@ -363,7 +341,7 @@ def opposite_offsets_integer_failures(n_max: int) -> list[str]:
     return failures
 
 
-def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int = 20) -> list[str]:
+def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int) -> list[str]:
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -374,8 +352,7 @@ def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int = 20)
     return failures
 
 
-def zero_sum_offsets_failures(seed: int, samples: int = 100,
-                              t_max: int = 5, n_max: int = 12) -> list[str]:
+def zero_sum_offsets_failures(seed: int, samples: int, t_max: int, n_max: int) -> list[str]:
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -437,77 +414,35 @@ def difference_formula_failures(n_max: int) -> list[str]:
     return failures
 
 
-def identities_suite(n_max: int = 64, t_max: int = 8, seed: int = 0) -> list[Case]:
+def identities_suite(
+    n_max: int = DEFAULT_BOUNDS["identities"]["n_max"],
+    t_max: int = DEFAULT_BOUNDS["identities"]["t_max"],
+    seed: int = DEFAULT_BOUNDS["identities"]["seed"],
+) -> list[Case]:
     if n_max < 0 or t_max < 1:
         raise ValueError("need n_max >= 0 and t_max >= 1")
-    cap = min  # family bounds never exceed their documented pins
-    return [
-        _family_case(
-            "identities/power-of-four",
-            {"n_max": str(n_max)},
-            lambda: power_of_four_failures(n_max),
-        ),
-        _family_case(
-            "identities/enumeration-count",
-            {"n_max": str(cap(n_max, 8))},
-            lambda: enumeration_count_failures(cap(n_max, 8)),
-        ),
-        _family_case(
-            "identities/zero-offset-closed-form",
-            {"t_max": str(t_max), "n_max": str(cap(n_max, 32))},
-            lambda: zero_offset_closed_form_failures(t_max, cap(n_max, 32)),
-        ),
-        _family_case(
-            "identities/reindexed-offset-pair",
-            {"n_max": str(cap(n_max, 16))},
-            lambda: reindexed_offset_pair_failures(cap(n_max, 16)),
-        ),
-        _family_case(
-            "identities/odd-width-forms",
-            {"n_max": str(cap(n_max, 12)), "L_max": "6"},
-            lambda: odd_width_failures(cap(n_max, 12), 6),
-        ),
-        _family_case(
-            "identities/recurrence",
-            {"t_max": str(cap(t_max, 6)), "n_max": str(cap(n_max, 16))},
-            lambda: recurrence_failures(cap(t_max, 6), cap(n_max, 16)),
-        ),
-        _family_case(
-            "identities/opposite-offsets-integer",
-            {"n_max": str(cap(n_max, 16))},
-            lambda: opposite_offsets_integer_failures(cap(n_max, 16)),
-        ),
-        _family_case(
-            "identities/opposite-offsets-rational",
-            {"n_max": str(cap(n_max, 16)), "seed": str(seed)},
-            lambda: opposite_offsets_rational_failures(cap(n_max, 16), seed),
-        ),
-        _family_case(
-            "identities/zero-sum-offsets",
-            {"samples": "100", "t_max": str(cap(t_max, 5)), "n_max": str(cap(n_max, 12)), "seed": str(seed)},
-            lambda: zero_sum_offsets_failures(seed, 100, cap(t_max, 5), cap(n_max, 12)),
-        ),
-        _family_case(
-            "identities/inclusion-exclusion-integer",
-            {"L_max": "30"},
-            lambda: inclusion_exclusion_integer_failures(30),
-        ),
-        _family_case(
-            "identities/inclusion-exclusion-polynomial",
-            {"p_max": "12"},
-            lambda: inclusion_exclusion_polynomial_failures(12),
-        ),
-        _family_case(
-            "identities/shift-invariance",
-            {"n_max": str(cap(n_max, 8))},
-            lambda: shift_invariance_failures(cap(n_max, 8)),
-        ),
-        _family_case(
-            "identities/difference-formula",
-            {"n_max": str(cap(n_max, 6))},
-            lambda: difference_formula_failures(cap(n_max, 6)),
-        ),
-    ]
+    # Family bounds never exceed their documented pins.
+    rows = (
+        ("power-of-four", power_of_four_failures, {"n_max": n_max}),
+        ("enumeration-count", enumeration_count_failures, {"n_max": min(n_max, 8)}),
+        ("zero-offset-closed-form", zero_offset_closed_form_failures,
+         {"t_max": t_max, "n_max": min(n_max, 32)}),
+        ("reindexed-offset-pair", reindexed_offset_pair_failures, {"n_max": min(n_max, 16)}),
+        ("odd-width-forms", odd_width_failures, {"n_max": min(n_max, 12), "L_max": 6}),
+        ("recurrence", recurrence_failures, {"t_max": min(t_max, 6), "n_max": min(n_max, 16)}),
+        ("opposite-offsets-integer", opposite_offsets_integer_failures,
+         {"n_max": min(n_max, 16)}),
+        ("opposite-offsets-rational", opposite_offsets_rational_failures,
+         {"n_max": min(n_max, 16), "seed": seed, "samples": 20}),
+        ("zero-sum-offsets", zero_sum_offsets_failures,
+         {"samples": 100, "t_max": min(t_max, 5), "n_max": min(n_max, 12), "seed": seed}),
+        ("inclusion-exclusion-integer", inclusion_exclusion_integer_failures, {"L_max": 30}),
+        ("inclusion-exclusion-polynomial", inclusion_exclusion_polynomial_failures,
+         {"p_max": 12}),
+        ("shift-invariance", shift_invariance_failures, {"n_max": min(n_max, 8)}),
+        ("difference-formula", difference_formula_failures, {"n_max": min(n_max, 6)}),
+    )
+    return [Case(f"identities/{name}", run, kwargs) for name, run, kwargs in rows]
 
 
 # ------------------------------------------------------------------- series
@@ -577,7 +512,7 @@ def derivative_law_failures(order: int) -> list[str]:
     return failures
 
 
-def derivative_identity_failures(order: int, n_max: int = 5) -> list[str]:
+def derivative_identity_failures(order: int, n_max: int) -> list[str]:
     failures = []
     for variant in ("gt", "gC", "C"):
         for param in SERIES_PARAMETERS:
@@ -613,7 +548,7 @@ def power_additivity_failures(order: int) -> list[str]:
     return failures
 
 
-def wz_certificate_failures(n_max: int = 16) -> list[str]:
+def wz_certificate_failures(n_max: int) -> list[str]:
     failures = []
     for n in range(n_max + 1):
         for i in range(n + 2):
@@ -622,55 +557,24 @@ def wz_certificate_failures(n_max: int = 16) -> list[str]:
     return failures
 
 
-def telescoped_sum_failures(n_max: int = 16) -> list[str]:
+def telescoped_sum_failures(n_max: int) -> list[str]:
     return [f"n={n}" for n in range(n_max + 1) if not series.telescoped_sum_check(n)]
 
 
-def series_suite(order: int = 64) -> list[Case]:
+def series_suite(order: int = DEFAULT_BOUNDS["series"]["order"]) -> list[Case]:
     if order < 16:
         raise ValueError("series suite needs order >= 16")
-    return [
-        _family_case(
-            "series/route-independence",
-            {"order": str(order)},
-            lambda: route_independence_failures(order),
-        ),
-        _family_case(
-            "series/catalan-closed-form",
-            {"order": str(order)},
-            lambda: catalan_route_failures(order),
-        ),
-        _family_case(
-            "series/derivative-laws",
-            {"order": str(order)},
-            lambda: derivative_law_failures(order),
-        ),
-        _family_case(
-            "series/derivative-identities",
-            {"order": str(order), "n_max": "5"},
-            lambda: derivative_identity_failures(order),
-        ),
-        _family_case(
-            "series/coefficient-identities",
-            {"order": str(order)},
-            lambda: coefficient_identity_failures(order),
-        ),
-        _family_case(
-            "series/power-additivity",
-            {"order": str(order)},
-            lambda: power_additivity_failures(order),
-        ),
-        _family_case(
-            "series/wz-certificate",
-            {"n_max": "16"},
-            lambda: wz_certificate_failures(16),
-        ),
-        _family_case(
-            "series/telescoped-sum",
-            {"n_max": "16"},
-            lambda: telescoped_sum_failures(16),
-        ),
-    ]
+    rows = (
+        ("route-independence", route_independence_failures, {"order": order}),
+        ("catalan-closed-form", catalan_route_failures, {"order": order}),
+        ("derivative-laws", derivative_law_failures, {"order": order}),
+        ("derivative-identities", derivative_identity_failures, {"order": order, "n_max": 5}),
+        ("coefficient-identities", coefficient_identity_failures, {"order": order}),
+        ("power-additivity", power_additivity_failures, {"order": order}),
+        ("wz-certificate", wz_certificate_failures, {"n_max": 16}),
+        ("telescoped-sum", telescoped_sum_failures, {"n_max": 16}),
+    )
+    return [Case(f"series/{name}", run, kwargs) for name, run, kwargs in rows]
 
 
 SUITE_NAMES = ("bijection", "identities", "series")

@@ -1,106 +1,160 @@
 """Acceptance gate: the eight headline checks at their full pinned bounds.
 
-Each test prints one [criterion k] PASS/FAIL line (visible under
-pytest -s) and then asserts.  The bounds here are the contract; the
-other test modules cover the same code at unit granularity.
+Each criterion runs its cases, by id, from the suites' default case
+lists, prints one [criterion k] PASS/FAIL line (visible under pytest -s)
+and then asserts.  The bounds are the contract: test_contract_bounds
+states them once and holds the bounds table and every default case to
+them.  The other test modules cover the same code at unit granularity.
 """
 
 from binomconv import suites
-from binomconv.bijection import (
-    compress,
-    even_skeleton,
-    phi,
-    phi_inverse,
-    tower_configuration,
-)
-from binomconv.configuration import parse_compact
+
+DEFAULT_CASES = {
+    case.id: case
+    for name in suites.SUITE_NAMES
+    for case in getattr(suites, f"{name}_suite")()
+}
+
+GOLDEN_IDS = [
+    "bijection/golden/forward",
+    "bijection/golden/skeleton-chain",
+    "bijection/golden/inverse-ba",
+    "bijection/golden/inverse-BAbA",
+    "bijection/golden/inverse-aBBAaaBbABBBb",
+    "bijection/golden/fixed-point",
+]
+EXHAUSTIVE_IDS = [f"bijection/exhaustive/n={n}" for n in range(9)]
 
 
-def report(number: int, description: str, ok: bool) -> bool:
-    mark = "PASS" if ok else "FAIL"
+def test_contract_bounds():
+    assert suites.DEFAULT_BOUNDS == {
+        "bijection": {"n_max": 8},
+        "identities": {"n_max": 64, "t_max": 8, "seed": 0},
+        "series": {"order": 64},
+    }
+    # id: (keyword arguments, expected value of an exact case)
+    contract = {
+        "bijection/golden/forward": ({"config": ".A11.b2B2.."}, "BbAbabBaAbA"),
+        "bijection/golden/skeleton-chain": (
+            {"config": ".A11.b2B2.."}, ".11.22.. -> aA2. -> B"
+        ),
+        "bijection/golden/inverse-ba": ({"config": "ba"}, "1."),
+        "bijection/golden/inverse-BAbA": ({"config": "BAbA"}, "11.."),
+        "bijection/golden/inverse-aBBAaaBbABBBb": (
+            {"config": "aBBAaaBbABBBb"}, "a1A1aa.A.BBBb"
+        ),
+        "bijection/golden/fixed-point": ({"config": "AB"}, "AB"),
+        **{case_id: ({"n": n}, None) for n, case_id in enumerate(EXHAUSTIVE_IDS)},
+        "identities/power-of-four": ({"n_max": 64}, None),
+        "identities/enumeration-count": ({"n_max": 8}, None),
+        "identities/zero-offset-closed-form": ({"t_max": 8, "n_max": 32}, None),
+        "identities/reindexed-offset-pair": ({"n_max": 16}, None),
+        "identities/odd-width-forms": ({"n_max": 12, "L_max": 6}, None),
+        "identities/recurrence": ({"t_max": 6, "n_max": 16}, None),
+        "identities/opposite-offsets-integer": ({"n_max": 16}, None),
+        "identities/opposite-offsets-rational": (
+            {"n_max": 16, "seed": 0, "samples": 20}, None
+        ),
+        "identities/zero-sum-offsets": (
+            {"samples": 100, "t_max": 5, "n_max": 12, "seed": 0}, None
+        ),
+        "identities/inclusion-exclusion-integer": ({"L_max": 30}, None),
+        "identities/inclusion-exclusion-polynomial": ({"p_max": 12}, None),
+        "identities/shift-invariance": ({"n_max": 8}, None),
+        "identities/difference-formula": ({"n_max": 6}, None),
+        "series/route-independence": ({"order": 64}, None),
+        "series/catalan-closed-form": ({"order": 64}, None),
+        "series/derivative-laws": ({"order": 64}, None),
+        "series/derivative-identities": ({"order": 64, "n_max": 5}, None),
+        "series/coefficient-identities": ({"order": 64}, None),
+        "series/power-additivity": ({"order": 64}, None),
+        "series/wz-certificate": ({"n_max": 16}, None),
+        "series/telescoped-sum": ({"n_max": 16}, None),
+    }
+    actual = {
+        case_id: (case.kwargs, case.expected) for case_id, case in DEFAULT_CASES.items()
+    }
+    assert actual == contract
+
+
+def check(number: int, description: str, case_ids: list[str]) -> None:
+    result = suites.run_cases(
+        f"criterion {number}", [DEFAULT_CASES[case_id] for case_id in case_ids]
+    )
+    failed = [(c.id, c.actual) for c in result.cases if not c.passed]
+    mark = "PASS" if result.all_passed else "FAIL"
     print(f"[criterion {number}] {mark} - {description}")
-    return ok
+    assert result.all_passed, failed[:5]
 
 
 def test_criterion_1_golden_vectors():
-    ok = str(phi(parse_compact(".A11.b2B2.."))) == "BbAbabBaAbA"
-    skeleton = even_skeleton(parse_compact(".A11.b2B2.."))
-    ok = ok and str(skeleton) == ".11.22.."
-    ok = ok and str(compress(skeleton)) == "aA2."
-    ok = ok and str(tower_configuration(parse_compact("aA2."))) == "B"
-    ok = ok and str(phi_inverse(parse_compact("ba"))) == "1."
-    ok = ok and str(phi_inverse(parse_compact("BAbA"))) == "11.."
-    ok = ok and str(phi_inverse(parse_compact("aBBAaaBbABBBb"))) == "a1A1aa.A.BBBb"
-    assert report(1, "golden forward/chain/inverse vectors match exactly", ok)
+    check(1, "golden forward/chain/inverse vectors match exactly", GOLDEN_IDS)
 
 
 def test_criterion_2_exhaustive_bijection():
-    failures = []
-    for n in range(9):
-        failures.extend(suites.exhaustive_bijection_failures(n))
-    ok = not failures
-    assert report(
-        2, "bijection exhaustive for n <= 8, both directions", ok
-    ), failures[:5]
+    check(2, "bijection exhaustive for n <= 8, both directions", EXHAUSTIVE_IDS)
 
 
 def test_criterion_3_power_of_four():
-    failures = suites.power_of_four_failures(64)
-    failures += suites.enumeration_count_failures(8)
-    ok = not failures
-    assert report(
-        3, "two-fold zero-offset sums equal 4^n (n <= 64) and match counts", ok
-    ), failures[:5]
+    check(
+        3,
+        "two-fold zero-offset sums equal 4^n (n <= 64) and match counts",
+        ["identities/power-of-four", "identities/enumeration-count"],
+    )
 
 
 def test_criterion_4_zero_offset_closed_form():
-    failures = suites.zero_offset_closed_form_failures(8, 32)
-    failures += suites.odd_width_failures(12, 6)
-    failures += suites.recurrence_failures(6, 16)
-    ok = not failures
-    assert report(
-        4, "closed form (t <= 8, n <= 32), odd-width forms, recurrence", ok
-    ), failures[:5]
+    check(
+        4,
+        "closed form (t <= 8, n <= 32), odd-width forms, recurrence",
+        [
+            "identities/zero-offset-closed-form",
+            "identities/odd-width-forms",
+            "identities/recurrence",
+        ],
+    )
 
 
 def test_criterion_5_offset_variations():
-    failures = suites.opposite_offsets_integer_failures(16)
-    failures += suites.opposite_offsets_rational_failures(16, seed=0, samples=20)
-    failures += suites.zero_sum_offsets_failures(seed=0, samples=100, t_max=5, n_max=12)
-    failures += suites.inclusion_exclusion_integer_failures(30)
-    failures += suites.inclusion_exclusion_polynomial_failures(12)
-    ok = not failures
-    assert report(
-        5, "opposite/zero-sum offsets and inclusion-exclusion sums", ok
-    ), failures[:5]
+    check(
+        5,
+        "opposite/zero-sum offsets and inclusion-exclusion sums",
+        [
+            "identities/opposite-offsets-integer",
+            "identities/opposite-offsets-rational",
+            "identities/zero-sum-offsets",
+            "identities/inclusion-exclusion-integer",
+            "identities/inclusion-exclusion-polynomial",
+        ],
+    )
 
 
 def test_criterion_6_symbolic_shift():
-    failures = suites.shift_invariance_failures(8)
-    failures += suites.difference_formula_failures(6)
-    ok = not failures
-    assert report(
-        6, "shift-invariance polynomials constant, difference formula symbolic", ok
-    ), failures[:5]
+    check(
+        6,
+        "shift-invariance polynomials constant, difference formula symbolic",
+        ["identities/shift-invariance", "identities/difference-formula"],
+    )
 
 
 def test_criterion_7_series_identities():
-    failures = suites.route_independence_failures(64)
-    failures += suites.catalan_route_failures(64)
-    failures += suites.coefficient_identity_failures(64)
-    failures += suites.derivative_identity_failures(64, n_max=5)
-    failures += suites.derivative_law_failures(64)
-    failures += suites.power_additivity_failures(64)
-    ok = not failures
-    assert report(
-        7, "series routes, coefficient and derivative identities at order 64", ok
-    ), failures[:5]
+    check(
+        7,
+        "series routes, coefficient and derivative identities at order 64",
+        [
+            "series/route-independence",
+            "series/catalan-closed-form",
+            "series/coefficient-identities",
+            "series/derivative-identities",
+            "series/derivative-laws",
+            "series/power-additivity",
+        ],
+    )
 
 
 def test_criterion_8_certificate():
-    failures = suites.wz_certificate_failures(16)
-    failures += suites.telescoped_sum_failures(16)
-    ok = not failures
-    assert report(
-        8, "telescoping certificate and telescoped sums for n <= 16", ok
-    ), failures[:5]
+    check(
+        8,
+        "telescoping certificate and telescoped sums for n <= 16",
+        ["series/wz-certificate", "series/telescoped-sum"],
+    )

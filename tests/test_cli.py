@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -238,18 +239,6 @@ def test_verify_json_is_deterministic(capsys):
     assert first == second
 
 
-def test_verify_jobs_agree(capsys):
-    base = [
-        "verify", "--suite", "bijection",
-        "--n-max", "3", "--format", "json",
-    ]
-    serial = json.loads(run_cli(base + ["--jobs", "1"], capsys)[1])
-    threaded = json.loads(run_cli(base + ["--jobs", "4"], capsys)[1])
-    serial.pop("wall_time")
-    threaded.pop("wall_time")
-    assert serial == threaded
-
-
 def test_verify_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     argv = [
@@ -300,8 +289,6 @@ def test_verify_rejects_bad_bounds(capsys):
         ["verify", "--suite", "series", "--order", "8"], capsys
     )
     assert code == 2
-    code, _, _ = run_cli(["verify", "--jobs", "0"], capsys)
-    assert code == 2
     code, _, _ = run_cli(["verify", "--suite", "unknown"], capsys)
     assert code == 2
 
@@ -310,9 +297,8 @@ def test_verify_reports_failures_with_exit_one(monkeypatch, capsys):
     # Exercise the failure path through a synthetic case; the math
     # itself has no failing inputs to offer.
     synthetic = [
-        suites.Case("synthetic/broken", {"why": "plumbing test"},
-                    lambda: ("1", "2")),
-        suites.Case("synthetic/fine", {}, lambda: ("x", "x")),
+        suites.Case("synthetic/broken", str, {"object": 2}, expected="1"),
+        suites.Case("synthetic/fine", str, {"object": "x"}, expected="x"),
     ]
     monkeypatch.setattr(suites, "bijection_suite", lambda n_max: synthetic)
     code, out, _ = run_cli(["verify", "--suite", "bijection"], capsys)
@@ -329,9 +315,9 @@ def test_verify_reports_raising_case_and_runs_the_rest(monkeypatch, capsys):
         raise ZeroDivisionError("division by zero")
 
     synthetic = [
-        suites.Case("synthetic/first", {}, lambda: ("x", "x")),
-        suites.Case("synthetic/raises", {"why": "plumbing test"}, broken),
-        suites.Case("synthetic/last", {}, lambda: ("y", "y")),
+        suites.Case("synthetic/first", str, {"object": "x"}, expected="x"),
+        suites.Case("synthetic/raises", broken, {}),
+        suites.Case("synthetic/last", str, {"object": "y"}, expected="y"),
     ]
     monkeypatch.setattr(suites, "bijection_suite", lambda n_max: synthetic)
     code, out, _ = run_cli(["verify", "--suite", "bijection", "--format", "json"], capsys)
@@ -343,6 +329,56 @@ def test_verify_reports_raising_case_and_runs_the_rest(monkeypatch, capsys):
     assert [case["pass"] for case in payload["cases"]] == [True, False, True]
     assert payload["cases"][1]["actual"] == "ZeroDivisionError: division by zero"
     assert payload["totals"] == {"pass": 2, "fail": 1}
+
+
+def test_verify_defaults_come_from_the_bounds_table(monkeypatch, capsys):
+    built = []
+
+    def record(suite, cases):
+        built.extend(cases)
+        return suites.Report(suite=suite, cases=(), wall_time=0.0)
+
+    monkeypatch.setattr(suites, "run_cases", record)
+    code, _, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    expected = [
+        case
+        for name in suites.SUITE_NAMES
+        for case in getattr(suites, f"{name}_suite")(**suites.DEFAULT_BOUNDS[name])
+    ]
+    assert [(c.id, c.inputs) for c in built] == [(c.id, c.inputs) for c in expected]
+
+
+def test_cases_survive_pickling():
+    for name in suites.SUITE_NAMES:
+        for case in getattr(suites, f"{name}_suite")(**suites.DEFAULT_BOUNDS[name]):
+            copy = pickle.loads(pickle.dumps(case))
+            assert (copy.id, copy.kwargs, copy.expected) == (
+                case.id, case.kwargs, case.expected
+            )
+            assert copy.run is case.run
+
+
+def test_enumerate_into_closed_pipe_exits_two():
+    # 4^8 lines are far more than a pipe buffers, so the writer is still
+    # writing when the reader goes away after one line.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "binomconv.cli", "enumerate", "ordered", "8"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert b"Traceback" not in err and b"Error" not in err
 
 
 def test_main_requires_subcommand(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomconv import identities, series
 from binomconv.exactnum import (
     NEG_INFINITY,
     OutOfRangeError,
@@ -225,3 +226,30 @@ def test_finite_difference_accepts_polynomial_values():
     # Differencing in the evaluation point of a shifted polynomial family.
     family = lambda k: X.taylor_shift(k) * X
     assert finite_difference(family, 1, 2) == X
+
+
+# ---------------------------------------------------------------- no floats
+
+
+FLOAT_ENTRY_POINTS = {
+    "Polynomial": lambda: Polynomial((0.1,)),
+    "Polynomial.__call__": lambda: X(0.5),
+    "Polynomial.taylor_shift": lambda: X.taylor_shift(0.5),
+    "falling_factorial": lambda: falling_factorial(0.5, 2),
+    "binomial": lambda: binomial(0.5, 2),
+    "binomial_negative_k": lambda: binomial(0.5, -1),
+    "closed_form": lambda: identities.closed_form(2, 0.1),
+    "inclusion_exclusion_sum": lambda: identities.inclusion_exclusion_sum(2.0, 1),
+    "opposite_offsets_check": lambda: identities.opposite_offsets_check(2, 0.5),
+    "shift_invariance_poly": lambda: identities.shift_invariance_poly(2, 0.5),
+    "delta_formula_check": lambda: identities.delta_formula_check(2, 0.5, 0, 1),
+    "base_series": lambda: series.base_series("binomial_power", 4, 0.5),
+    "derivative_identity_check": lambda: series.derivative_identity_check("gt", 0.5, 1, 16),
+    "coefficient_identity_check": lambda: series.coefficient_identity_check("gt", 0.5, 16),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRY_POINTS)
+def test_exact_arithmetic_rejects_floats(entry):
+    with pytest.raises(TypeError, match="expected an int or a Fraction"):
+        FLOAT_ENTRY_POINTS[entry]()
