@@ -3,12 +3,19 @@
 Rationals, dense univariate polynomials over the rationals, falling
 factorials, generalized binomial coefficients, and forward finite
 differences.  Everything here is exact; floats never appear.
+
+Scalar falling factorials and binomials, and polynomial products, run
+their inner loops over integers and build one Fraction per result (per
+output coefficient, for a product), so results are the exact, fully
+reduced rationals.  integer_convolution is the one integer Cauchy
+product loop; series products and convolution sums use it too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
@@ -41,6 +48,16 @@ def scaled_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     # keep one dead tuple per call until the next full collection.
     scale = lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def integer_convolution(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """The first length coefficients of the Cauchy product of the integer
+    sequences a and b: entry k is the sum of a[i]*b[k-i] over valid i."""
+    last_b = len(b) - 1
+    return [
+        sum(map(mul, a[max(0, k - last_b) : k + 1], b[min(k, last_b) :: -1]))
+        for k in range(length)
+    ]
 
 
 class Polynomial:
@@ -127,14 +144,15 @@ class Polynomial:
                 return Polynomial()
             return Polynomial(c * other for c in self._coeffs)
         if isinstance(other, Polynomial):
-            a, b = self._coeffs, other._coeffs
-            if not a or not b:
+            if not self._coeffs or not other._coeffs:
                 return Polynomial()
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-            return Polynomial(out)
+            a, scale_a = scaled_to_integers(self._coeffs)
+            b, scale_b = scaled_to_integers(other._coeffs)
+            scale = scale_a * scale_b
+            return Polynomial(
+                Fraction(c, scale)
+                for c in integer_convolution(a, b, len(a) + len(b) - 1)
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -213,6 +231,13 @@ X = Polynomial((0, 1))
 PolyOrScalar = Union[Polynomial, int, Fraction]
 
 
+def _falling_numerator(x: Fraction, k: int) -> int:
+    """p(p - q)...(p - (k-1)q) for x = p/q: the falling factorial of x
+    of length k is this integer over q^k."""
+    q = x.denominator
+    return prod(range(x.numerator, x.numerator - k * q, -q))
+
+
 def falling_factorial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
     """Product x(x-1)...(x-k+1); the empty product (k=0) is 1."""
     if not isinstance(k, int) or k < 0:
@@ -223,10 +248,7 @@ def falling_factorial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
             result = result * (x - m)
         return result
     x = exact_rational(x)
-    result = Fraction(1)
-    for m in range(k):
-        result *= x - m
-    return result
+    return Fraction(_falling_numerator(x, k), x.denominator**k)
 
 
 def binomial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
@@ -237,11 +259,14 @@ def binomial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
     """
     if not isinstance(k, int):
         raise OutOfRangeError("binomial lower index must be an integer")
-    if not isinstance(x, Polynomial):
-        x = exact_rational(x)
+    if isinstance(x, Polynomial):
+        if k < 0:
+            return Polynomial()
+        return falling_factorial(x, k) * Fraction(1, factorial(k))
+    x = exact_rational(x)
     if k < 0:
-        return Polynomial() if isinstance(x, Polynomial) else Fraction(0)
-    return falling_factorial(x, k) * Fraction(1, factorial(k))
+        return Fraction(0)
+    return Fraction(_falling_numerator(x, k), x.denominator**k * factorial(k))
 
 
 def finite_difference(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
 from typing import Union
 
 from .exactnum import (
@@ -30,6 +29,7 @@ from .exactnum import (
     exact_rational,
     falling_factorial,
     finite_difference,
+    integer_convolution,
     scaled_to_integers,
 )
 
@@ -64,14 +64,15 @@ def convolution_sum(spec: ConvolutionSpec) -> Fraction:
     Computed by iterated truncated sequence convolution rather than by
     enumerating compositions, so the cost is t*n^2 exact products.  Each
     column is scaled to integers by the lcm of its denominators, the
-    convolutions run over integers, and the sum is divided by the
-    product of the column scales once, at the end.
+    convolutions run over integers (exactnum.integer_convolution), and
+    the sum is divided by the product of the column scales once, at the
+    end.
     """
     n = spec.n
     acc, scale = scaled_to_integers(_offset_column(spec.offsets[0], n))
     for offset in spec.offsets[1:]:
         col, col_scale = scaled_to_integers(_offset_column(offset, n))
-        acc = [sum(map(mul, acc[: m + 1], col[m::-1])) for m in range(n + 1)]
+        acc = integer_convolution(acc, col, n + 1)
         scale *= col_scale
     return Fraction(acc[n], scale)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm
-from operator import mul
 
 from .exactnum import (
     OutOfRangeError,
@@ -32,6 +31,7 @@ from .exactnum import (
     binomial,
     exact_rational,
     falling_factorial,
+    integer_convolution,
     scaled_to_integers,
 )
 
@@ -119,10 +119,7 @@ class TruncatedSeries:
             b, scale_b = scaled_to_integers(other.coefficients)
             scale = scale_a * scale_b
             return TruncatedSeries(
-                [
-                    Fraction(sum(map(mul, a[: k + 1], b[k::-1])), scale)
-                    for k in range(len(a))
-                ]
+                [Fraction(c, scale) for c in integer_convolution(a, b, len(a))]
             )
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(tuple(c * other for c in self.coefficients))
@@ -250,7 +247,7 @@ def nth_derivative(f: TruncatedSeries, n: int) -> TruncatedSeries:
 
 
 def derivative_identity_check(
-    variant: str, param: Scalar, n: int, order: int = 64
+    variant: str, param: Scalar, n: int, order: int
 ) -> bool:
     """Derivative identities for g^t, g*C^l, and C^l.
 
@@ -300,7 +297,7 @@ def derivative_identity_check(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def coefficient_identity_check(variant: str, param: Scalar, order: int = 64) -> bool:
+def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
     """Coefficient formulas for g^t, g*C^l, and C^l, checked at every
     index up to the truncation order.
 

@@ -2,9 +2,10 @@
 
 Each criterion runs its cases, by id, from the suites' default case
 lists, prints one [criterion k] PASS/FAIL line (visible under pytest -s)
-and then asserts.  The bounds are the contract: test_contract_bounds
-states them once and holds the bounds table and every default case to
-them.  The other test modules cover the same code at unit granularity.
+and then asserts; every default case belongs to exactly one criterion.
+The bounds are the contract: test_contract_bounds states them once and
+holds the bounds table and every default case to them.  The other test
+modules cover the same code at unit granularity.
 """
 
 from binomconv import suites
@@ -77,7 +78,63 @@ def test_contract_bounds():
     assert actual == contract
 
 
-def check(number: int, description: str, case_ids: list[str]) -> None:
+CRITERIA = {
+    1: ("golden forward/chain/inverse vectors match exactly", GOLDEN_IDS),
+    2: ("bijection exhaustive for n <= 8, both directions", EXHAUSTIVE_IDS),
+    3: (
+        "two-fold zero-offset sums equal 4^n (n <= 64) and match counts",
+        ["identities/power-of-four", "identities/enumeration-count"],
+    ),
+    4: (
+        "closed form (t <= 8, n <= 32), odd-width forms, recurrence",
+        [
+            "identities/zero-offset-closed-form",
+            "identities/odd-width-forms",
+            "identities/recurrence",
+        ],
+    ),
+    5: (
+        "opposite, reindexed and zero-sum offsets and inclusion-exclusion sums",
+        [
+            "identities/reindexed-offset-pair",
+            "identities/opposite-offsets-integer",
+            "identities/opposite-offsets-rational",
+            "identities/zero-sum-offsets",
+            "identities/inclusion-exclusion-integer",
+            "identities/inclusion-exclusion-polynomial",
+        ],
+    ),
+    6: (
+        "shift-invariance polynomials constant, difference formula symbolic",
+        ["identities/shift-invariance", "identities/difference-formula"],
+    ),
+    7: (
+        "series routes, coefficient and derivative identities at order 64",
+        [
+            "series/route-independence",
+            "series/catalan-closed-form",
+            "series/coefficient-identities",
+            "series/derivative-identities",
+            "series/derivative-laws",
+            "series/power-additivity",
+        ],
+    ),
+    8: (
+        "telescoping certificate and telescoped sums for n <= 16",
+        ["series/wz-certificate", "series/telescoped-sum"],
+    ),
+}
+
+
+def test_every_default_case_in_exactly_one_criterion():
+    assigned = sorted(
+        case_id for _, case_ids in CRITERIA.values() for case_id in case_ids
+    )
+    assert assigned == sorted(DEFAULT_CASES)
+
+
+def check(number: int) -> None:
+    description, case_ids = CRITERIA[number]
     result = suites.run_cases(
         f"criterion {number}", [DEFAULT_CASES[case_id] for case_id in case_ids]
     )
@@ -88,73 +145,32 @@ def check(number: int, description: str, case_ids: list[str]) -> None:
 
 
 def test_criterion_1_golden_vectors():
-    check(1, "golden forward/chain/inverse vectors match exactly", GOLDEN_IDS)
+    check(1)
 
 
 def test_criterion_2_exhaustive_bijection():
-    check(2, "bijection exhaustive for n <= 8, both directions", EXHAUSTIVE_IDS)
+    check(2)
 
 
 def test_criterion_3_power_of_four():
-    check(
-        3,
-        "two-fold zero-offset sums equal 4^n (n <= 64) and match counts",
-        ["identities/power-of-four", "identities/enumeration-count"],
-    )
+    check(3)
 
 
 def test_criterion_4_zero_offset_closed_form():
-    check(
-        4,
-        "closed form (t <= 8, n <= 32), odd-width forms, recurrence",
-        [
-            "identities/zero-offset-closed-form",
-            "identities/odd-width-forms",
-            "identities/recurrence",
-        ],
-    )
+    check(4)
 
 
 def test_criterion_5_offset_variations():
-    check(
-        5,
-        "opposite/zero-sum offsets and inclusion-exclusion sums",
-        [
-            "identities/opposite-offsets-integer",
-            "identities/opposite-offsets-rational",
-            "identities/zero-sum-offsets",
-            "identities/inclusion-exclusion-integer",
-            "identities/inclusion-exclusion-polynomial",
-        ],
-    )
+    check(5)
 
 
 def test_criterion_6_symbolic_shift():
-    check(
-        6,
-        "shift-invariance polynomials constant, difference formula symbolic",
-        ["identities/shift-invariance", "identities/difference-formula"],
-    )
+    check(6)
 
 
 def test_criterion_7_series_identities():
-    check(
-        7,
-        "series routes, coefficient and derivative identities at order 64",
-        [
-            "series/route-independence",
-            "series/catalan-closed-form",
-            "series/coefficient-identities",
-            "series/derivative-identities",
-            "series/derivative-laws",
-            "series/power-additivity",
-        ],
-    )
+    check(7)
 
 
 def test_criterion_8_certificate():
-    check(
-        8,
-        "telescoping certificate and telescoped sums for n <= 16",
-        ["series/wz-certificate", "series/telescoped-sum"],
-    )
+    check(8)

@@ -1,10 +1,10 @@
 """Exact scalar and polynomial arithmetic."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomconv import identities, series
@@ -176,6 +176,57 @@ def test_binomial_upper_negation(L, i):
 def test_binomial_vandermonde(a, b, j):
     total = sum(binomial(a, k) * binomial(b, j - k) for k in range(j + 1))
     assert total == binomial(a + b, j)
+
+
+# ------------------------------------------- integer kernels against oracles
+
+
+def fraction_falling_factorial(x: Fraction, k: int) -> Fraction:
+    """Test-only reference: one Fraction product per factor."""
+    result = Fraction(1)
+    for m in range(k):
+        result *= x - m
+    return result
+
+
+def fraction_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Test-only reference: the Fraction double loop."""
+    out = [Fraction(0)] * max(len(a.coefficients) + len(b.coefficients) - 1, 0)
+    for i, ai in enumerate(a.coefficients):
+        for j, bj in enumerate(b.coefficients):
+            out[i + j] += ai * bj
+    return Polynomial(out)
+
+
+kernel_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+mixed_polys = st.lists(kernel_rationals, max_size=8).map(Polynomial)
+
+
+@given(x=kernel_rationals, k=st.integers(0, 40))
+def test_scalar_kernels_match_fraction_products(x, k):
+    falling = fraction_falling_factorial(x, k)
+    results = falling_factorial(x, k), binomial(x, k)
+    assert results == (falling, falling / factorial(k))
+    assert all(type(r) is Fraction for r in results)
+
+
+def test_scalar_kernel_examples():
+    assert falling_factorial(3, 5) == 0
+    assert binomial(3, 5) == 0
+    assert binomial(-3, 5) == -21
+    assert falling_factorial(-3, 5) == -2520
+    assert falling_factorial(Fraction(-7, 12), 0) == 1
+    assert binomial(Fraction(-7, 12), 0) == 1
+
+
+@given(a=mixed_polys, b=mixed_polys)
+@example(a=Polynomial(), b=Polynomial((Fraction(1, 3), 2)))
+@example(a=Polynomial((Fraction(-5, 6),)), b=Polynomial((Fraction(1, 4), 0, 3)))
+@example(a=Polynomial((Fraction(3, 4), Fraction(1, 6))), b=Polynomial((7,)))
+def test_polynomial_product_matches_fraction_double_loop(a, b):
+    product = a * b
+    assert product == fraction_product(a, b)
+    assert all(type(c) is Fraction for c in product.coefficients)
 
 
 # ---------------------------------------------------------- finite difference

@@ -292,11 +292,11 @@ def test_derivative_identity_examples():
 
 def test_derivative_identity_preconditions():
     with pytest.raises(ValueError):
-        derivative_identity_check("gt", 1, 0)
+        derivative_identity_check("gt", 1, 0, order=32)
     with pytest.raises(ValueError):
         derivative_identity_check("gt", 1, 30, order=32)
     with pytest.raises(ValueError):
-        derivative_identity_check("nope", 1, 1)
+        derivative_identity_check("nope", 1, 1, order=32)
 
 
 def test_coefficient_identity_examples():
