@@ -1,11 +1,13 @@
 """Forward and inverse bijection, compression, and section rewriting."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomconv import suites
 from binomconv.bijection import (
     BijectionError,
     HasOddColumnsError,
@@ -322,6 +324,55 @@ def test_phi_is_a_bijection_exhaustively():
         for q in enumerate_tower_free(n):
             assert q in images
             assert phi(phi_inverse(q)) == q
+
+
+def test_sweep_reports_a_collision_from_either_side(monkeypatch):
+    collided = phi(parse_compact("Aa"))
+
+    def colliding_phi(configuration, trace=None):
+        if configuration.text == "1.":
+            return collided
+        return phi(configuration, trace)
+
+    monkeypatch.setattr(suites.bijection, "phi", colliding_phi)
+    assert suites.exhaustive_bijection_failures(2) == [
+        "phi(1.) = Aa has 0 descents for 1 towers",
+        "phi_inverse(phi(1.)) = Aa",
+        "phi is not injective: 15 images from 16 inputs",
+        "image has 15 elements, expected 16",
+        "phi(phi_inverse(ba)) != ba",
+    ]
+
+
+def test_sweep_reports_images_that_keep_towers(monkeypatch):
+    monkeypatch.setattr(
+        suites.bijection, "phi", lambda configuration, trace=None: configuration
+    )
+    assert suites.exhaustive_bijection_failures(2) == [
+        "phi(2.) = 2. is not tower-free of length 2",
+        "phi(.2) = .2 is not tower-free of length 2",
+        "phi(1.) = 1. is not tower-free of length 2",
+        "phi(.1) = .1 is not tower-free of length 2",
+        "phi is not injective: 12 images from 16 inputs",
+        "image has 12 elements, expected 16",
+        "phi(phi_inverse(BA)) != BA",
+        "phi(phi_inverse(Ba)) != Ba",
+        "phi(phi_inverse(bA)) != bA",
+        "phi(phi_inverse(ba)) != ba",
+    ]
+
+
+def test_sweep_holds_no_image_objects():
+    # The 1,024 images at n=5, kept as objects, peak well above 64 KiB;
+    # a 4^5-byte mark table stays far below it.
+    tracemalloc.start()
+    try:
+        failures = suites.exhaustive_bijection_failures(5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert failures == []
+    assert peak < 64 * 1024
 
 
 @st.composite
