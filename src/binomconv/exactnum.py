@@ -4,17 +4,24 @@ Rationals, dense univariate polynomials over the rationals, falling
 factorials, generalized binomial coefficients, and forward finite
 differences.  Everything here is exact; floats never appear.
 
-Scalar falling factorials and binomials, and polynomial products, run
-their inner loops over integers and build one Fraction per result (per
-output coefficient, for a product), so results are the exact, fully
-reduced rationals.  integer_convolution is the one integer Cauchy
+A Polynomial is stored as a tuple of integer numerators over one
+positive denominator, in lowest terms, and its arithmetic runs over
+integers: sums over the lcm of the denominators, products through
+integer_convolution, evaluation and Taylor shifts by Horner in the
+numerator and denominator of the point.  The polynomial falling
+factorial and binomial multiply one integer numerator list by each
+factor in turn.  Scalar falling factorials and binomials run over
+integers too and build one Fraction per result.  A Fraction is built
+only where a rational is read: a scalar result, a polynomial's value,
+or its coefficients.  integer_convolution is the one integer Cauchy
 product loop; series products and convolution sums use it too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
@@ -61,20 +68,32 @@ def integer_convolution(a: Sequence[int], b: Sequence[int], length: int) -> list
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with rational coefficients.
 
-    Coefficients are stored lowest degree first with no trailing zeros,
-    so equal polynomials always compare and hash equal.  The zero
-    polynomial has an empty coefficient tuple and degree -inf.
+    Stored as integer numerators over one denominator: _num is a tuple
+    of integers, lowest degree first with no trailing zeros, and _den a
+    positive integer with gcd(_den, *_num) == 1.  The zero polynomial is
+    ((), 1) and has degree -inf.  The form is canonical, so equal
+    polynomials always compare and hash equal.  Coefficients are read as
+    Fractions, built on demand.
+
+    The public constructor is the only place that validates
+    coefficients; every operation here builds its result over integers
+    through _from_integers.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [exact_rational(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        num, den = scaled_to_integers([exact_rational(c) for c in coefficients])
+        self._num, self._den = _lowest_terms(num, den)
+
+    @classmethod
+    def _from_integers(cls, num: Sequence[int], den: int) -> "Polynomial":
+        """The polynomial with numerators num over den > 0, unvalidated."""
+        poly = object.__new__(cls)
+        poly._num, poly._den = _lowest_terms(num, den)
+        return poly
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
@@ -82,76 +101,71 @@ class Polynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def degree(self) -> float:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._num) - 1 if self._num else NEG_INFINITY
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
             raise OutOfRangeError("coefficient index must be nonnegative")
-        return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
+        return Fraction(self._num[k], self._den) if k < len(self._num) else Fraction(0)
 
     @property
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._num) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self!r} is not constant")
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return Fraction(self._num[0], self._den) if self._num else Fraction(0)
 
     def __call__(self, point: Scalar) -> Fraction:
         point = exact_rational(point)
-        value = Fraction(0)
-        for c in reversed(self._coeffs):
-            value = value * point + c
-        return value
+        if not self._num:
+            return Fraction(0)
+        # Horner in p and q for point = p/q: the sum of c_k p^k q^(n-k).
+        p, q = point.numerator, point.denominator
+        value, scale = 0, 1
+        for c in reversed(self._num):
+            value = value * p + c * scale
+            scale *= q
+        return Fraction(value, self._den * (scale // q))
 
     def __add__(self, other: object) -> "Polynomial":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
+        return Polynomial._from_integers([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> "Polynomial":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other: object) -> "Polynomial":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, -1)
 
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial()
-            return Polynomial(c * other for c in self._coeffs)
+            return Polynomial._from_integers(
+                [c * other.numerator for c in self._num], self._den * other.denominator
+            )
         if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
-                return Polynomial()
-            a, scale_a = scaled_to_integers(self._coeffs)
-            b, scale_b = scaled_to_integers(other._coeffs)
-            scale = scale_a * scale_b
-            return Polynomial(
-                Fraction(c, scale)
-                for c in integer_convolution(a, b, len(a) + len(b) - 1)
+            a, b = self._num, other._num
+            return Polynomial._from_integers(
+                integer_convolution(a, b, len(a) + len(b) - 1), self._den * other._den
             )
         return NotImplemented
 
@@ -165,22 +179,30 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise OutOfRangeError("polynomial powers take nonnegative integer exponents")
-        result = Polynomial((1,))
+        result = Polynomial._from_integers((1,), 1)
         for _ in range(exponent):
             result = result * self
         return result
 
     def taylor_shift(self, offset: Scalar) -> "Polynomial":
         """Substitute (variable + offset) for the variable."""
-        shift = Polynomial((exact_rational(offset), 1))
-        result = Polynomial()
-        for c in reversed(self._coeffs):
-            result = result * shift + c
-        return result
+        offset = exact_rational(offset)
+        if not self._num:
+            return self
+        # Horner in (p + q*x) for offset = p/q: the sum of
+        # c_k (p + q*x)^k q^(n-k), over q^n.
+        p, q = offset.numerator, offset.denominator
+        out: list[int] = []
+        scale = 1
+        for c in reversed(self._num):
+            out = [p * a + q * b for a, b in zip([*out, 0], [0, *out])]
+            out[0] += c * scale
+            scale *= q
+        return Polynomial._from_integers(out, self._den * (scale // q))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self.is_constant and self.constant_value() == other
         return NotImplemented
@@ -188,20 +210,21 @@ class Polynomial:
     def __hash__(self) -> int:
         if self.is_constant:
             return hash(self.constant_value())
-        return hash(self._coeffs)
+        return hash(self.coefficients)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coefficients
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -217,12 +240,34 @@ class Polynomial:
         return " ".join(parts)
 
 
+def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den without trailing zeros and with the common factor of den
+    and all numerators divided out."""
+    end = len(num)
+    while end and not num[end - 1]:
+        end -= 1
+    common = gcd(den, *num[:end])
+    if common == 1:
+        return tuple(num[:end]), den
+    return tuple(c // common for c in num[:end]), den // common
+
+
 def _coerce(value: object) -> Polynomial | None:
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial((value,))
+        return Polynomial._from_integers((value.numerator,), value.denominator)
     return None
+
+
+def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """a + sign*b, over the lcm of the two denominators."""
+    den = lcm(a._den, b._den)
+    scale_a, scale_b = den // a._den, sign * (den // b._den)
+    return Polynomial._from_integers(
+        [c * scale_a + d * scale_b for c, d in zip_longest(a._num, b._num, fillvalue=0)],
+        den,
+    )
 
 
 #: The polynomial variable.
@@ -238,15 +283,36 @@ def _falling_numerator(x: Fraction, k: int) -> int:
     return prod(range(x.numerator, x.numerator - k * q, -q))
 
 
+def _falling_numerators(x: Polynomial, k: int) -> list[int]:
+    """Integer numerators, lowest degree first, of the falling factorial
+    of the polynomial x of length k, over x._den**k.
+
+    With x = N/d, factor m is (N - m*d)/d.  One numerator list is
+    multiplied by each factor in turn; the inner loop runs over the
+    factor's coefficients, so a linear x costs two list passes per
+    factor.
+    """
+    base, d = x._num or (0,), x._den
+    out = [1]
+    for m in range(k):
+        factor = (base[0] - m * d, *base[1:])
+        width = len(out)
+        product = [0] * (width + len(factor) - 1)
+        for j, f in enumerate(factor):
+            if f:
+                product[j : j + width] = [
+                    s + f * r for s, r in zip(product[j : j + width], out)
+                ]
+        out = product
+    return out
+
+
 def falling_factorial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
     """Product x(x-1)...(x-k+1); the empty product (k=0) is 1."""
     if not isinstance(k, int) or k < 0:
         raise OutOfRangeError("falling factorial length must be a nonnegative integer")
     if isinstance(x, Polynomial):
-        result = Polynomial((1,))
-        for m in range(k):
-            result = result * (x - m)
-        return result
+        return Polynomial._from_integers(_falling_numerators(x, k), x._den**k)
     x = exact_rational(x)
     return Fraction(_falling_numerator(x, k), x.denominator**k)
 
@@ -261,8 +327,10 @@ def binomial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
         raise OutOfRangeError("binomial lower index must be an integer")
     if isinstance(x, Polynomial):
         if k < 0:
-            return Polynomial()
-        return falling_factorial(x, k) * Fraction(1, factorial(k))
+            return Polynomial._from_integers((), 1)
+        return Polynomial._from_integers(
+            _falling_numerators(x, k), x._den**k * factorial(k)
+        )
     x = exact_rational(x)
     if k < 0:
         return Fraction(0)

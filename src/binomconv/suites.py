@@ -150,6 +150,13 @@ def run_cases(suite: str, cases: Iterable[Case]) -> Report:
     return Report(suite=suite, cases=results, wall_time=wall)
 
 
+def _require_nonnegative(name: str, bound: int) -> None:
+    """A family swept over an empty range checks nothing; refuse the
+    bound instead of reporting a vacuous pass."""
+    if bound < 0:
+        raise ValueError(f"{name} must be nonnegative, got {bound}")
+
+
 def _summarize(failures: list[str]) -> tuple[str, str]:
     if not failures:
         return OK, OK
@@ -393,6 +400,7 @@ def inclusion_exclusion_integer_failures(L_max: int) -> list[str]:
 
 
 def inclusion_exclusion_polynomial_failures(p_max: int) -> list[str]:
+    _require_nonnegative("p_max", p_max)
     failures = []
     variable = Polynomial((0, 1))
     for p in range(p_max + 1):
@@ -403,6 +411,7 @@ def inclusion_exclusion_polynomial_failures(p_max: int) -> list[str]:
 
 
 def shift_invariance_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         for a in SHIFT_PARAMETERS:
@@ -419,6 +428,7 @@ def shift_invariance_failures(n_max: int) -> list[str]:
 
 
 def difference_formula_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         for a in SHIFT_PARAMETERS:
@@ -564,6 +574,7 @@ def power_additivity_failures(order: int) -> list[str]:
 
 
 def wz_certificate_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         for i in range(n + 2):
@@ -573,6 +584,7 @@ def wz_certificate_failures(n_max: int) -> list[str]:
 
 
 def telescoped_sum_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     return [f"n={n}" for n in range(n_max + 1) if not series.telescoped_sum_check(n)]
 
 

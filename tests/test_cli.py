@@ -331,6 +331,24 @@ def test_verify_reports_raising_case_and_runs_the_rest(monkeypatch, capsys):
     assert payload["totals"] == {"pass": 2, "fail": 1}
 
 
+@pytest.mark.parametrize(
+    "family, bound",
+    [
+        (suites.wz_certificate_failures, "n_max"),
+        (suites.telescoped_sum_failures, "n_max"),
+        (suites.shift_invariance_failures, "n_max"),
+        (suites.difference_formula_failures, "n_max"),
+        (suites.inclusion_exclusion_polynomial_failures, "p_max"),
+    ],
+)
+def test_polynomial_family_with_negative_bound_fails(family, bound):
+    # An empty sweep checks nothing, so it must not report a pass.
+    report = suites.run_cases("synthetic", [suites.Case("synthetic/empty", family, {bound: -1})])
+    (result,) = report.cases
+    assert not result.passed
+    assert result.actual == f"ValueError: {bound} must be nonnegative, got -1"
+
+
 def test_verify_defaults_come_from_the_bounds_table(monkeypatch, capsys):
     built = []
 

@@ -1,7 +1,7 @@
 """Exact scalar and polynomial arithmetic."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -227,6 +227,174 @@ def test_polynomial_product_matches_fraction_double_loop(a, b):
     product = a * b
     assert product == fraction_product(a, b)
     assert all(type(c) is Fraction for c in product.coefficients)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """The stored form: integer numerators without trailing zeros over a
+    positive denominator that shares no factor with all of them."""
+    num, den = p._num, p._den
+    assert all(type(c) is int for c in num) and type(den) is int and den > 0
+    assert not num or num[-1] != 0
+    assert gcd(den, *num) == 1
+
+
+def fraction_shift(x: Polynomial, m: int) -> Polynomial:
+    """Test-only reference: x - m through the Fraction coefficients."""
+    coeffs = list(x.coefficients) or [Fraction(0)]
+    coeffs[0] -= m
+    return Polynomial(coeffs)
+
+
+def fraction_horner(coefficients: tuple[Fraction, ...], point: Fraction) -> Fraction:
+    """Test-only reference: Horner's rule over Fractions."""
+    value = Fraction(0)
+    for c in reversed(coefficients):
+        value = value * point + c
+    return value
+
+
+def fraction_taylor_shift(p: Polynomial, h: Fraction) -> Polynomial:
+    """Test-only reference: Horner's rule in (x + h) over Fraction lists."""
+    result: list[Fraction] = []
+    for c in reversed(p.coefficients):
+        shifted = [Fraction(0)] * (len(result) + 1)
+        for j, r in enumerate(result):
+            shifted[j] += r * h
+            shifted[j + 1] += r
+        shifted[0] += c
+        result = shifted
+    return Polynomial(result)
+
+
+def fraction_sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """Test-only reference: a + sign*b coefficient by coefficient."""
+    length = max(len(a.coefficients), len(b.coefficients))
+    return Polynomial(a.coefficient(k) + sign * b.coefficient(k) for k in range(length))
+
+
+low_degree_polys = st.lists(kernel_rationals, min_size=1, max_size=3).map(Polynomial)
+
+
+@given(x=low_degree_polys, k=st.integers(0, 12))
+@example(x=Polynomial(), k=3)
+@example(x=X - Fraction(5, 12), k=0)
+def test_polynomial_falling_factorial_and_binomial_match_fraction_products(x, k):
+    falling = Polynomial((1,))
+    for m in range(k):
+        falling = fraction_product(falling, fraction_shift(x, m))
+    results = falling_factorial(x, k), binomial(x, k)
+    assert results == (falling, Polynomial(c / factorial(k) for c in falling.coefficients))
+    for result in results:
+        assert_canonical(result)
+
+
+def test_polynomial_falling_factorial_with_a_zero_factor():
+    assert falling_factorial(X + 3, 5)(0) == 0
+    assert binomial(X + 3, 5)(0) == 0
+    assert falling_factorial(X + 3, 5)(-4) == -120
+    assert falling_factorial(Polynomial((3,)), 5) == Polynomial()
+    assert binomial(Polynomial((3,)), 5) == 0
+
+
+@given(p=mixed_polys, h=kernel_rationals)
+@example(p=Polynomial(), h=Fraction(-7, 12))
+@example(p=Polynomial((Fraction(1, 6), 0, Fraction(-3, 4))), h=Fraction(2, 3))
+def test_evaluation_and_taylor_shift_match_fraction_horner(p, h):
+    assert p(h) == fraction_horner(p.coefficients, h)
+    shifted = p.taylor_shift(h)
+    assert shifted == fraction_taylor_shift(p, h)
+    assert_canonical(shifted)
+
+
+@given(a=mixed_polys, b=mixed_polys, c=kernel_rationals)
+@example(a=Polynomial(), b=Polynomial(), c=Fraction(0))
+@example(
+    a=Polynomial((Fraction(1, 4), Fraction(5, 6))),
+    b=Polynomial((Fraction(-3, 4), Fraction(5, 6))),
+    c=Fraction(1, 2),
+)
+def test_sums_match_coefficientwise_fraction_sums(a, b, c):
+    constant = Polynomial((c,))
+    pairs = (
+        (a + b, fraction_sum(a, b, 1)),
+        (a - b, fraction_sum(a, b, -1)),
+        (a + c, fraction_sum(a, constant, 1)),
+        (c - a, fraction_sum(constant, a, -1)),
+        (a - a, Polynomial()),
+    )
+    for result, reference in pairs:
+        assert result == reference
+        assert_canonical(result)
+
+
+# ------------------------------------------------------------ stored form
+
+
+def test_one_polynomial_by_two_routes_is_stored_once():
+    direct = Polynomial((Fraction(1, 2), Fraction(1, 3)))
+    scaled = Polynomial((3, 2)) * Fraction(1, 6)
+    assert direct == scaled
+    assert hash(direct) == hash(scaled)
+    assert (direct._num, direct._den) == ((3, 2), 6)
+    assert (Polynomial()._num, Polynomial()._den) == ((), 1)
+    assert ((X + Fraction(1, 3)) - X) == Fraction(1, 3)
+    assert hash((X + Fraction(1, 3)) - X) == hash(Fraction(1, 3))
+
+
+# str and repr of each fixture, as printed before the integer form.
+PRINTED = [
+    (
+        Polynomial((Fraction(1, 2), Fraction(1, 3))),
+        "1/3*x + 1/2",
+        "Polynomial([Fraction(1, 2), Fraction(1, 3)])",
+    ),
+    (
+        Polynomial((Fraction(-3, 4), 0, Fraction(5, 6), Fraction(-1, 12))),
+        "-1/12*x^3 + 5/6*x^2 - 3/4",
+        "Polynomial([Fraction(-3, 4), Fraction(0, 1), Fraction(5, 6), Fraction(-1, 12)])",
+    ),
+    (
+        binomial(X + Fraction(1, 2), 3),
+        "1/6*x^3 - 1/4*x^2 - 1/24*x + 1/16",
+        "Polynomial([Fraction(1, 16), Fraction(-1, 24), Fraction(-1, 4), Fraction(1, 6)])",
+    ),
+    (
+        Polynomial((0, -1, Fraction(7, 10))),
+        "7/10*x^2 - x",
+        "Polynomial([Fraction(0, 1), Fraction(-1, 1), Fraction(7, 10)])",
+    ),
+    (Polynomial(()), "0", "Polynomial([])"),
+    (Polynomial((Fraction(-5, 6),)), "-5/6", "Polynomial([Fraction(-5, 6)])"),
+]
+
+
+@pytest.mark.parametrize("poly, text, representation", PRINTED)
+def test_str_and_repr_of_mixed_denominators(poly, text, representation):
+    assert (str(poly), repr(poly)) == (text, representation)
+
+
+def count_constructions(monkeypatch) -> list[int]:
+    """Count calls of the public, validating Polynomial constructor."""
+    calls = [0]
+    public = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        public(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    return calls
+
+
+def test_operations_do_not_revalidate(monkeypatch):
+    x = Polynomial((Fraction(-3, 2), 1))
+    calls = count_constructions(monkeypatch)
+    falling_factorial(x, 12)
+    assert calls[0] == 0
+    # One public construction for the running total and two for each
+    # of the n + 1 summand pairs; nothing inside exactnum adds any.
+    identities.shift_invariance_poly(8, Fraction(1, 2))
+    assert calls[0] <= 19
 
 
 # ---------------------------------------------------------- finite difference
