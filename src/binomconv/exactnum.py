@@ -31,6 +31,11 @@ Scalar = Union[int, Fraction]
 
 NEG_INFINITY = float("-inf")
 
+#: Entries kept by each memo of exact sub-results in series and
+#: identities.  The default bounds need at most about 140 in one memo;
+#: the limit keeps a long-lived process from growing without bound.
+MEMO_SIZE = 256
+
 
 class OutOfRangeError(ValueError):
     """An index or order parameter lies outside its admissible range."""

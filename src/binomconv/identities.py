@@ -12,16 +12,25 @@ establish the offset-shift invariance used to prove the closed form:
 the sum is unchanged when a single offset pair (a, 0) is deformed to
 (a - x, x), and the finite-difference formula that drives that proof
 holds symbolically.
+
+The difference formula is checked for every (i, m) of each (n, a), and
+every check reads the same sequence entries and the same bridge to the
+convolution sum.  So the entries (_difference_poly) and the bridge
+(_bridge_holds) are computed once per process, keyed on n, the
+validated exact a and the index; a case's wall time can therefore
+depend on which cases ran before it.  Closed forms are never memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Union
 
 from .exactnum import (
+    MEMO_SIZE,
     OutOfRangeError,
     Polynomial,
     Scalar,
@@ -175,6 +184,7 @@ def shift_invariance_poly(n: int, a: Scalar) -> Polynomial:
     return total
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _difference_poly(n: int, a: Fraction, index: int) -> Polynomial:
     """The polynomial (x - a + index - 1) falling index, times
     (x + 2n) falling (n - index); the sequence the difference formula
@@ -210,8 +220,13 @@ def delta_formula_check(n: int, a: Scalar, i: int, m: int) -> bool:
     )
     if m % 2:
         rhs = -rhs
-    if lhs != rhs:
-        return False
+    return lhs == rhs and _bridge_holds(n, a)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _bridge_holds(n: int, a: Fraction) -> bool:
+    """The companion identity of delta_formula_check, which depends on
+    (n, a) alone."""
     bridge = Polynomial()
     for index in range(n + 1):
         term = _difference_poly(n, a, index).taylor_shift(-2 * index) * comb(n, index)

@@ -14,6 +14,16 @@ Series products and powers scale their rational inputs to integers,
 run their inner loops over integers, and build one Fraction per output
 coefficient, so results are the exact, fully reduced rationals.
 
+The derivative and coefficient identity checks ask for the same few
+powers of g and C over and over (g^3 serves every parameter of the gC
+variant), so the base series g and C and their powers are computed once
+per process: _base and _power memoize them, keyed on the series kind,
+the order and the exact exponent, after the checks have validated
+those.  A case's wall time can therefore depend on which cases ran
+before it.  Closed forms are never memoized, so each identity still
+compares two independent computations, and the exp/log route does not
+go through the memo.
+
 Everything is truncated at an explicit order N and arithmetic never
 reads past it; binary operations require equal orders.
 """
@@ -22,9 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, perm
 
 from .exactnum import (
+    MEMO_SIZE,
     OutOfRangeError,
     Polynomial,
     Scalar,
@@ -128,6 +140,11 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
 
+def _require_order(order: int) -> None:
+    if not isinstance(order, int) or order < 0:
+        raise ValueError("order must be a nonnegative integer")
+
+
 def base_series(kind: str, order: int, s: Scalar | None = None) -> TruncatedSeries:
     """One of the three independently constructed base series.
 
@@ -140,8 +157,7 @@ def base_series(kind: str, order: int, s: Scalar | None = None) -> TruncatedSeri
     The three routes share no code, so agreements between them are
     genuine cross-checks.
     """
-    if not isinstance(order, int) or order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    _require_order(order)
     if kind == "g":
         value = 1
         coeffs = []
@@ -233,6 +249,23 @@ def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _base(kind: str, order: int) -> TruncatedSeries:
+    """base_series(kind, order) for g or catalan, built once per order."""
+    return base_series(kind, order)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _power(kind: str, order: int, r: Fraction) -> TruncatedSeries:
+    """series_pow of a memoized base series, computed once per exponent.
+
+    The key must already be exact: 0.5 == Fraction(1, 2) and both hash
+    alike, so an unvalidated float would be handed the cached result.
+    A TruncatedSeries is frozen, so every caller can share the result.
+    """
+    return series_pow(_base(kind, order), r)
+
+
 def nth_derivative(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """Term-wise n-th derivative; the truncation order drops by n."""
     if not isinstance(n, int) or n < 0:
@@ -263,35 +296,33 @@ def derivative_identity_check(
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
+    _require_order(order)
     if order < n + 8:
         raise ValueError("order must be at least n + 8 for a working margin")
     param = exact_rational(param)
     target = order - n
     if variant == "gt":
-        g = base_series("g", order)
-        lhs = nth_derivative(series_pow(g, param), n) * Fraction(1, factorial(n))
+        lhs = nth_derivative(_power("g", order, param), n) * Fraction(1, factorial(n))
         scale = Fraction(4) ** n * binomial(param / 2 + n - 1, n)
-        rhs = (series_pow(g, param + 2 * n) * scale).truncate(target)
+        rhs = (_power("g", order, param + 2 * n) * scale).truncate(target)
         return lhs == rhs
     if variant == "C":
-        g = base_series("g", order)
-        c = base_series("catalan", order)
-        lhs = nth_derivative(series_pow(c, param), n)
-        rhs = nth_derivative(g * series_pow(c, param + 1) * param, n - 1).truncate(
-            target
-        )
+        g = _base("g", order)
+        lhs = nth_derivative(_power("catalan", order, param), n)
+        rhs = nth_derivative(
+            g * _power("catalan", order, param + 1) * param, n - 1
+        ).truncate(target)
         return lhs == rhs
     if variant == "gC":
-        g = base_series("g", order)
-        c = base_series("catalan", order)
-        lhs = nth_derivative(g * series_pow(c, param), n) * Fraction(
+        g = _base("g", order)
+        lhs = nth_derivative(g * _power("catalan", order, param), n) * Fraction(
             1, factorial(n)
         )
         total = TruncatedSeries.constant(0, order)
         for i in range(n + 1):
             scale = binomial(2 * n - i, n - i) * binomial(param + i - 1, i)
-            total = total + series_pow(g, 1 + 2 * n - i) * series_pow(
-                c, param + i
+            total = total + _power("g", order, 1 + 2 * n - i) * _power(
+                "catalan", order, param + i
             ) * scale
         return lhs == total.truncate(target)
     raise ValueError(f"unknown variant {variant!r}")
@@ -307,18 +338,19 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
         [x^n] C^l = l*(2n+l-1 falling n-1)/n!, a cancellation-safe form
         that stays finite when 2n + l = 0.
     """
+    _require_order(order)
     param = exact_rational(param)
     if variant == "gt":
-        f = series_pow(base_series("g", order), param)
+        f = _power("g", order, param)
         return all(
             f[n] == Fraction(4) ** n * binomial(param / 2 + n - 1, n)
             for n in range(order + 1)
         )
     if variant == "gC":
-        f = base_series("g", order) * series_pow(base_series("catalan", order), param)
+        f = _base("g", order) * _power("catalan", order, param)
         return all(f[n] == binomial(2 * n + param, n) for n in range(order + 1))
     if variant == "C":
-        f = series_pow(base_series("catalan", order), param)
+        f = _power("catalan", order, param)
         if f[0] != 1:
             return False
         return all(

@@ -157,6 +157,12 @@ def _require_nonnegative(name: str, bound: int) -> None:
         raise ValueError(f"{name} must be nonnegative, got {bound}")
 
 
+def _require_positive(name: str, bound: int) -> None:
+    """As _require_nonnegative, for a bound whose range starts at 1."""
+    if bound < 1:
+        raise ValueError(f"{name} must be positive, got {bound}")
+
+
 def _summarize(failures: list[str]) -> tuple[str, str]:
     if not failures:
         return OK, OK
@@ -291,6 +297,7 @@ def _zero_spec(n: int, t: int) -> identities.ConvolutionSpec:
 
 
 def power_of_four_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         value = identities.convolution_sum(_zero_spec(n, 2))
@@ -300,6 +307,7 @@ def power_of_four_failures(n_max: int) -> list[str]:
 
 
 def enumeration_count_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         total = sum(1 for _ in configuration.enumerate_ordered(n))
@@ -310,6 +318,8 @@ def enumeration_count_failures(n_max: int) -> list[str]:
 
 
 def zero_offset_closed_form_failures(t_max: int, n_max: int) -> list[str]:
+    _require_positive("t_max", t_max)
+    _require_nonnegative("n_max", n_max)
     failures = []
     for t in range(1, t_max + 1):
         for n in range(n_max + 1):
@@ -321,6 +331,7 @@ def zero_offset_closed_form_failures(t_max: int, n_max: int) -> list[str]:
 
 
 def reindexed_offset_pair_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         value = identities.convolution_sum(
@@ -332,6 +343,8 @@ def reindexed_offset_pair_failures(n_max: int) -> list[str]:
 
 
 def odd_width_failures(n_max: int, L_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
+    _require_nonnegative("L_max", L_max)
     failures = []
     for n in range(n_max + 1):
         for L in range(L_max + 1):
@@ -341,6 +354,8 @@ def odd_width_failures(n_max: int, L_max: int) -> list[str]:
 
 
 def recurrence_failures(t_max: int, n_max: int) -> list[str]:
+    _require_positive("t_max", t_max)
+    _require_nonnegative("n_max", n_max)
     failures = []
     for t in range(1, t_max + 1):
         for n in range(n_max + 1):
@@ -354,6 +369,7 @@ def _random_rational(rng: random.Random, bound: int = 12, den: int = 6) -> Fract
 
 
 def opposite_offsets_integer_failures(n_max: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         for extra in (1, 2, 5, 17):
@@ -364,6 +380,8 @@ def opposite_offsets_integer_failures(n_max: int) -> list[str]:
 
 
 def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int) -> list[str]:
+    _require_nonnegative("n_max", n_max)
+    _require_positive("samples", samples)
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -375,6 +393,9 @@ def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int) -> l
 
 
 def zero_sum_offsets_failures(seed: int, samples: int, t_max: int, n_max: int) -> list[str]:
+    _require_positive("samples", samples)
+    _require_positive("t_max", t_max)
+    _require_nonnegative("n_max", n_max)
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -390,6 +411,7 @@ def zero_sum_offsets_failures(seed: int, samples: int, t_max: int, n_max: int) -
 
 
 def inclusion_exclusion_integer_failures(L_max: int) -> list[str]:
+    _require_nonnegative("L_max", L_max)
     failures = []
     for L in range(L_max + 1):
         for p in range(L + 1):
@@ -538,6 +560,7 @@ def derivative_law_failures(order: int) -> list[str]:
 
 
 def derivative_identity_failures(order: int, n_max: int) -> list[str]:
+    _require_positive("n_max", n_max)
     failures = []
     for variant in ("gt", "gC", "C"):
         for param in SERIES_PARAMETERS:

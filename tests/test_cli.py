@@ -349,6 +349,50 @@ def test_polynomial_family_with_negative_bound_fails(family, bound):
     assert result.actual == f"ValueError: {bound} must be nonnegative, got -1"
 
 
+@pytest.mark.parametrize(
+    "family, kwargs, message",
+    [
+        pytest.param(family, kwargs, message, id=f"{family.__name__}-{message.split()[0]}")
+        for family, kwargs, message in (
+            (suites.power_of_four_failures, {"n_max": -1}, "n_max must be nonnegative"),
+            (suites.enumeration_count_failures, {"n_max": -1}, "n_max must be nonnegative"),
+            (suites.zero_offset_closed_form_failures, {"t_max": 0, "n_max": 2},
+             "t_max must be positive"),
+            (suites.zero_offset_closed_form_failures, {"t_max": 2, "n_max": -1},
+             "n_max must be nonnegative"),
+            (suites.reindexed_offset_pair_failures, {"n_max": -1}, "n_max must be nonnegative"),
+            (suites.odd_width_failures, {"n_max": -1, "L_max": 2}, "n_max must be nonnegative"),
+            (suites.odd_width_failures, {"n_max": 2, "L_max": -1}, "L_max must be nonnegative"),
+            (suites.recurrence_failures, {"t_max": 0, "n_max": 2}, "t_max must be positive"),
+            (suites.recurrence_failures, {"t_max": 1, "n_max": -1}, "n_max must be nonnegative"),
+            (suites.opposite_offsets_integer_failures, {"n_max": -1},
+             "n_max must be nonnegative"),
+            (suites.opposite_offsets_rational_failures, {"n_max": -1, "seed": 0, "samples": 2},
+             "n_max must be nonnegative"),
+            (suites.opposite_offsets_rational_failures, {"n_max": 2, "seed": 0, "samples": 0},
+             "samples must be positive"),
+            (suites.zero_sum_offsets_failures,
+             {"seed": 0, "samples": 0, "t_max": 2, "n_max": 2}, "samples must be positive"),
+            (suites.zero_sum_offsets_failures,
+             {"seed": 0, "samples": 2, "t_max": 0, "n_max": 2}, "t_max must be positive"),
+            (suites.zero_sum_offsets_failures,
+             {"seed": 0, "samples": 2, "t_max": 2, "n_max": -1}, "n_max must be nonnegative"),
+            (suites.inclusion_exclusion_integer_failures, {"L_max": -1},
+             "L_max must be nonnegative"),
+            (suites.derivative_identity_failures, {"order": 16, "n_max": 0},
+             "n_max must be positive"),
+        )
+    ],
+)
+def test_family_with_a_bound_below_its_range_fails(family, kwargs, message):
+    # A bound that empties the sweep checks nothing, so it must not pass.
+    report = suites.run_cases("synthetic", [suites.Case("synthetic/empty", family, kwargs)])
+    (result,) = report.cases
+    assert not result.passed
+    bound = message.split()[0]
+    assert result.actual == f"ValueError: {message}, got {kwargs[bound]}"
+
+
 def test_verify_defaults_come_from_the_bounds_table(monkeypatch, capsys):
     built = []
 

@@ -1,0 +1,96 @@
+"""The once-per-process memos of base series, series powers and the
+difference-formula bridge: they recompute nothing, refuse floats even
+when warm, and let an injected fault through to the verdict."""
+
+from fractions import Fraction
+
+import pytest
+
+from binomconv import identities, series, suites
+
+MEMOS = (
+    series._base,
+    series._power,
+    identities._difference_poly,
+    identities._bridge_holds,
+)
+
+HALF = Fraction(1, 2)
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty memos before and after the test, so no test sees results
+    another one left behind."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_floats_are_refused_after_the_memo_is_warm(cold_memos):
+    assert series.derivative_identity_check("gt", HALF, 1, order=32)
+    assert series.coefficient_identity_check("gC", HALF, order=24)
+    assert identities.delta_formula_check(2, HALF, 0, 1)
+    # 0.5 == Fraction(1, 2) and both hash alike: only validation before
+    # the lookup keeps the cached verdicts from answering a float.
+    with pytest.raises(TypeError):
+        series.derivative_identity_check("gt", 0.5, 1, order=32)
+    with pytest.raises(TypeError):
+        series.coefficient_identity_check("gC", 0.5, order=24)
+    with pytest.raises(TypeError):
+        identities.delta_formula_check(2, 0.5, 0, 1)
+    # The same holds for a float order equal to a cached one.
+    with pytest.raises(ValueError):
+        series.derivative_identity_check("gt", HALF, 1, order=32.0)
+    with pytest.raises(ValueError):
+        series.coefficient_identity_check("gC", HALF, order=24.0)
+
+
+def test_a_perturbed_series_power_fails_the_series_checks(cold_memos, monkeypatch):
+    exact = series.series_pow
+
+    def perturbed(f, r):
+        coefficients = list(exact(f, r).coefficients)
+        coefficients[5] += 1
+        return series.TruncatedSeries(coefficients)
+
+    monkeypatch.setattr(series, "series_pow", perturbed)
+    assert not series.derivative_identity_check("gt", HALF, 1, order=32)
+    assert not series.coefficient_identity_check("gC", HALF, order=24)
+
+
+def test_an_off_by_one_convolution_sum_fails_the_difference_formula(
+    cold_memos, monkeypatch
+):
+    exact = identities.convolution_sum
+    monkeypatch.setattr(identities, "convolution_sum", lambda spec: exact(spec) + 1)
+    assert not identities.delta_formula_check(2, HALF, 0, 1)
+
+
+def count_calls(monkeypatch, module, name) -> list[tuple]:
+    """Record the arguments of every call of module.name."""
+    calls = []
+    exact = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_series_power_is_computed_once(cold_memos, monkeypatch):
+    calls = count_calls(monkeypatch, series, "series_pow")
+    assert suites.derivative_identity_failures(32, 5) == []
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_each_difference_bridge_is_computed_once(cold_memos, monkeypatch):
+    calls = count_calls(monkeypatch, identities, "convolution_sum")
+    assert suites.difference_formula_failures(4) == []
+    # One bridge, and so one convolution sum, per (n, a) with n >= 1.
+    assert len(calls) == 4 * len(suites.SHIFT_PARAMETERS)
