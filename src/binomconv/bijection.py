@@ -16,12 +16,20 @@ Both maps run on compact strings (alphabet .Aa1Bb2).  phi and
 phi_inverse validate their input once and then recurse on the private
 string-level steps; the public compress, expand, section and decoding
 functions wrap those same steps and check their own inputs.
+
+Untraced calls take each recursive step (keyed by the compressed
+skeleton or pair seed) and each section rewrite from bounded memos of
+exactnum.MEMO_SIZE entries, so an exhaustive sweep computes few of
+them more than once; a step that raises is never stored, so every check
+still runs on every input that fails it.  Traced calls never use the
+memos: they recurse directly, and the trace records every level.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from functools import lru_cache
 
 from .configuration import (
     ODD_CHARS,
@@ -37,6 +45,7 @@ from .configuration import (
     _wrap,
     is_tower_free,
 )
+from .exactnum import MEMO_SIZE
 
 TraceLog = list
 
@@ -65,9 +74,8 @@ class NotInImageError(BijectionError):
     """The inverse map's reconstruction is not an ordered configuration."""
 
 
-def _note(trace: TraceLog | None, depth: int, label: str, value: object) -> None:
-    if trace is not None:
-        trace.append((depth, label, str(value)))
+def _note(trace: TraceLog, depth: int, label: str, value: object) -> None:
+    trace.append((depth, label, str(value)))
 
 
 # ------------------------------------------------------ string-level steps
@@ -92,6 +100,10 @@ _DESCENT = re.compile("[Bb](?=[Aa])")
 #: row means a color-One tower, the right column in the bottom row means
 #: the tower came first.
 _DESCENT_PAIR = {"ba": "1.", "bA": ".1", "Ba": "2.", "BA": ".2"}
+
+#: A section of phi's input: two consecutive tower or empty columns and
+#: the odd columns between them.
+_SECTION = re.compile("[.12][AaBb]*[.12]")
 
 
 def _compress(skeleton: str) -> str:
@@ -160,22 +172,27 @@ def _decode_pairs(image: str) -> tuple[list[int], str]:
 def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
     """phi on a balanced, ordered compact string."""
     if _only(text, ODD_CHARS):
-        _note(trace, depth, "fixed point", text)
+        if trace is not None:
+            _note(trace, depth, "fixed point", text)
         return text
     compressed = _compress(text.translate(_DROP_ODD))
-    _note(trace, depth, "input", text)
-    _note(trace, depth, "tower configuration", compressed)
-    expanded = _expand(_phi(compressed, trace, depth + 1))
-    _note(trace, depth, "expanded image", expanded)
-    evens = [pos for pos, char in enumerate(text) if char not in ODD_CHARS]
+    if trace is None:
+        expanded = _expand(_phi_memo(compressed))
+        forward = _section_forward_memo
+    else:
+        _note(trace, depth, "input", text)
+        _note(trace, depth, "tower configuration", compressed)
+        expanded = _expand(_phi(compressed, trace, depth + 1))
+        _note(trace, depth, "expanded image", expanded)
+        forward = _section_forward
     ones = _one_slots(text)
     out = []
     end = 0
-    for k in range(0, len(evens), 2):
-        p1, p2 = evens[k], evens[k + 1]
+    for k, match in enumerate(_SECTION.finditer(text)):
+        p1, p2 = match.start(), match.end() - 1
         variant = 1 if p2 < ones else 2
-        section = expanded[k] + text[p1 + 1 : p2] + expanded[k + 1]
-        image = _section_forward(section, variant)
+        section = expanded[2 * k] + text[p1 + 1 : p2] + expanded[2 * k + 1]
+        image = forward(section, variant)
         out += (text[end:p1], image)
         end = p2 + 1
         if trace is not None:
@@ -183,7 +200,8 @@ def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
                   f"variant {variant}: {section} -> {image}")
     out.append(text[end:])
     result = "".join(out)
-    _note(trace, depth, "image", result)
+    if trace is not None:
+        _note(trace, depth, "image", result)
     return result
 
 
@@ -191,31 +209,40 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
     """phi_inverse on a tower-free compact string."""
     descents, pairs = _decode_pairs(image)
     if not descents:
-        _note(trace, depth, "fixed point", image)
+        if trace is not None:
+            _note(trace, depth, "fixed point", image)
         return image
-    _note(trace, depth, "input", image)
-    _note(trace, depth, "pair seed", pairs)
-    skeleton = _expand(_phi_inverse(_compress(pairs), trace, depth + 1))
-    _note(trace, depth, "skeleton", skeleton)
+    if trace is None:
+        skeleton = _expand(_phi_inverse_memo(_compress(pairs)))
+        rewind = _section_inverse_memo
+    else:
+        _note(trace, depth, "input", image)
+        _note(trace, depth, "pair seed", pairs)
+        skeleton = _expand(_phi_inverse(_compress(pairs), trace, depth + 1))
+        _note(trace, depth, "skeleton", skeleton)
+        rewind = _section_inverse
     tower_one_pairs = skeleton.count("1")
     n = len(image)
     out = []
     previous_end = 0
     for k, descent in enumerate(descents):
-        # 1-based bounds: the section is image[start - 1 : end].
-        start, end = descent, descent + 1
+        # 1-based bounds: the section is image[start - 1 : end].  Every
+        # section ends in a color-One column, so a run of color-Two
+        # columns stops before the previous section, and a run of
+        # color-One columns stops before the next descent.
         if k < tower_one_pairs:
             variant = 1
-            while start > 1 and image[start - 2] in "Bb":
-                start -= 1
+            start = previous_end + len(image[previous_end : descent - 1].rstrip("Bb")) + 1
+            end = descent + 1
         else:
             variant = 2
-            while end < n and image[end] in "Aa":
-                end += 1
+            start = descent
+            stop = descents[k + 1] - 1 if k + 1 < len(descents) else n
+            end = stop - len(image[descent + 1 : stop].lstrip("Aa"))
         if start <= previous_end:
             raise NotInImageError(f"sections of {image} overlap")
         section = image[start - 1 : end]
-        rebuilt = _section_inverse(section, variant, skeleton[2 * k : 2 * k + 2])
+        rebuilt = rewind(section, variant, skeleton[2 * k : 2 * k + 2])
         out += (image[previous_end : start - 1], rebuilt)
         previous_end = end
         if trace is not None:
@@ -225,8 +252,36 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
     result = "".join(out)
     if not (_is_balanced(result) and _is_ordered(result)):
         raise NotInImageError(f"{image} reconstructs to {result}, which is not ordered")
-    _note(trace, depth, "preimage", result)
+    if trace is not None:
+        _note(trace, depth, "preimage", result)
     return result
+
+
+# The memos of the untraced steps.  Each looks its step up by
+# module-global name, so a step replaced from outside is the one called
+# once the memo is cleared.
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _phi_memo(compressed: str) -> str:
+    """_phi of a compressed skeleton, untraced."""
+    return _phi(compressed, None, 1)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _phi_inverse_memo(seed: str) -> str:
+    """_phi_inverse of a compressed pair seed, untraced."""
+    return _phi_inverse(seed, None, 1)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _section_forward_memo(section: str, variant: int) -> str:
+    return _section_forward(section, variant)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _section_inverse_memo(run: str, variant: int, ends: str) -> str:
+    return _section_inverse(run, variant, ends)
 
 
 # ------------------------------------------------------------- public API

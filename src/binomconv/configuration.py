@@ -375,15 +375,26 @@ def to_subset_pair(
 
 def enumerate_ordered(n: int) -> Iterator[Configuration]:
     """All ordered configurations of length n, in lexicographic order of
-    (i, ones-subset, twos-subset)."""
+    (i, ones-subset, twos-subset).
+
+    The right blocks of width n - i are built once per i and shared by
+    every left block; at i = 0, the widest row with C(2n, n) blocks and
+    a single empty left block, they are made one at a time instead.
+    """
     if n < 0:
         raise ConfigurationError("length must be nonnegative")
     for i in range(n + 1):
         j = n - i
+        twos = itertools.combinations(range(1, 2 * j + 1), j)
+        rights = (_block(j, subset, ".bB2") for subset in twos)
+        if i == 0:
+            yield from map(_wrap, rights)
+            continue
+        rights = list(rights)
         for ones in itertools.combinations(range(1, 2 * i + 1), i):
             left = _block(i, ones, ".aA1")
-            for twos in itertools.combinations(range(1, 2 * j + 1), j):
-                yield _wrap(left + _block(j, twos, ".bB2"))
+            for right in rights:
+                yield _wrap(left + right)
 
 
 def enumerate_tower_free(n: int) -> Iterator[Configuration]:

@@ -202,6 +202,7 @@ def exhaustive_bijection_failures(n: int) -> list[str]:
     are marked by base-4 rank in a bytearray of 4^n bytes, one byte per
     tower-free word, rather than kept as objects.
     """
+    _require_nonnegative("n", n)
     failures: list[str] = []
     hit = bytearray(4**n)
     count = 0

@@ -1,5 +1,6 @@
 """Forward and inverse bijection, compression, and section rewriting."""
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -324,6 +325,55 @@ def test_phi_is_a_bijection_exhaustively():
         for q in enumerate_tower_free(n):
             assert q in images
             assert phi(phi_inverse(q)) == q
+
+
+#: SHA-256 of the images, one per line, of phi over enumerate_ordered(n)
+#: and of phi_inverse over enumerate_tower_free(n).  Any other bijection
+#: between the two families changes them.
+MAP_DIGESTS = {
+    0: (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    1: (
+        "5ca7988c02310d07c09fe87ca80fdd27da57e40c3734c55666a2925f8c7acb1f",
+        "e771ff85461b19044d8af8e3db4d742b4ea5d55c021bcb7a91e39bfa670aa468",
+    ),
+    2: (
+        "f2f4e0f63758b18a0e677ba3e0aa265071fbe8679fe9ef6ecabcde24564b49a2",
+        "43d869476287babb121edf6bcf029c5f1656bf8dcc0c54f796c41bf4c7c5ea9d",
+    ),
+    3: (
+        "206825031b738d233d4b09d5e9581678164c6a540a4f31aaa21f1cee20ea6ff0",
+        "3101065de1ca144156fe093f7d777b62122682100ae872588c7080c28cd64faa",
+    ),
+    4: (
+        "33f95d7159ac7569d7bd758fdd1bc5725a39ef63f81fc0fe0e389508e83234a4",
+        "0342be29e3a49942f43cd9904ae58580d708e2e3725f3cc1edc8513a34382cab",
+    ),
+    5: (
+        "3ceb0fe41cbcd1a0c03dc268505934722db7a7f2a3923b3dd4654dfd8b1ca26c",
+        "ef9edb5b9a2cfcc26edea978b3bea216f84dc9c470dc0cd6b8d894b82f1e8a5f",
+    ),
+    6: (
+        "d04312b55786a16159f06b8e50f0521da77c372c15dc2e71b719df4ba2acf434",
+        "3d320532e2a9556d041b12a9194e84b90df9686e6f8a9ad30b44e3bcf95abc1d",
+    ),
+    7: (
+        "200892351899d7aa400be23d2616b390ddee6326ced1b5cb0480750027f2e5e7",
+        "6ac39f5a43b3ea488e82e71b1f7bbbf29c3b285ef605ddf1014fc3d8072a24ae",
+    ),
+}
+
+
+def _digest(configurations) -> str:
+    return hashlib.sha256("\n".join(c.text for c in configurations).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(MAP_DIGESTS))
+def test_the_map_itself_is_pinned(n):
+    assert _digest(map(phi, enumerate_ordered(n))) == MAP_DIGESTS[n][0]
+    assert _digest(map(phi_inverse, enumerate_tower_free(n))) == MAP_DIGESTS[n][1]
 
 
 def test_sweep_reports_a_collision_from_either_side(monkeypatch):

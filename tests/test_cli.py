@@ -354,6 +354,7 @@ def test_polynomial_family_with_negative_bound_fails(family, bound):
     [
         pytest.param(family, kwargs, message, id=f"{family.__name__}-{message.split()[0]}")
         for family, kwargs, message in (
+            (suites.exhaustive_bijection_failures, {"n": -1}, "n must be nonnegative"),
             (suites.power_of_four_failures, {"n_max": -1}, "n_max must be nonnegative"),
             (suites.enumeration_count_failures, {"n_max": -1}, "n_max must be nonnegative"),
             (suites.zero_offset_closed_form_failures, {"t_max": 0, "n_max": 2},

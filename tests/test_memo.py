@@ -1,18 +1,23 @@
-"""The once-per-process memos of base series, series powers and the
-difference-formula bridge: they recompute nothing, refuse floats even
-when warm, and let an injected fault through to the verdict."""
+"""The once-per-process memos of base series, series powers, the
+difference-formula bridge and the bijection's recursive steps and
+section rewrites: they recompute nothing, refuse floats even when warm,
+leave traces whole, and let an injected fault through to the verdict."""
 
 from fractions import Fraction
 
 import pytest
 
-from binomconv import identities, series, suites
+from binomconv import bijection, cli, identities, series, suites
 
 MEMOS = (
     series._base,
     series._power,
     identities._difference_poly,
     identities._bridge_holds,
+    bijection._phi_memo,
+    bijection._phi_inverse_memo,
+    bijection._section_forward_memo,
+    bijection._section_inverse_memo,
 )
 
 HALF = Fraction(1, 2)
@@ -94,3 +99,53 @@ def test_each_difference_bridge_is_computed_once(cold_memos, monkeypatch):
     assert suites.difference_formula_failures(4) == []
     # One bridge, and so one convolution sum, per (n, a) with n >= 1.
     assert len(calls) == 4 * len(suites.SHIFT_PARAMETERS)
+
+
+def test_each_inner_bijection_step_is_computed_once(cold_memos, monkeypatch):
+    forward = count_calls(monkeypatch, bijection, "_phi")
+    inverse = count_calls(monkeypatch, bijection, "_phi_inverse")
+    assert suites.exhaustive_bijection_failures(6) == []
+    for calls in (forward, inverse):
+        # Depth 0 is the public call; every deeper call is a recursive step.
+        inner = [text for text, _, depth in calls if depth > 0]
+        assert inner
+        assert len(inner) == len(set(inner))
+
+
+MAP_TRACES = (
+    ["map", ".A11.b2B2..", "--forward", "--trace"],
+    ["map", "BbAbabBaAbA", "--inverse", "--trace"],
+    ["map", "aBBAaaBbABBBb", "--inverse", "--trace"],
+)
+
+
+def map_traces(capsys) -> list[str]:
+    texts = []
+    for argv in MAP_TRACES:
+        assert cli.main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+def test_traces_keep_every_level_after_warm_memos(cold_memos, capsys):
+    cold = map_traces(capsys)
+    for text in cold:
+        # A whole trace records the recursion down to its fixed point.
+        assert "fixed point: " in text
+    assert suites.exhaustive_bijection_failures(6) == []
+    for argv in MAP_TRACES:
+        assert cli.main(argv[:-1]) == 0  # the same maps, untraced
+    capsys.readouterr()
+    assert map_traces(capsys) == cold
+
+
+def test_a_perturbed_section_rewrite_fails_the_sweep(cold_memos, monkeypatch):
+    exact = bijection._section_forward
+    swap_towers = str.maketrans("12", "21")
+    # Every section is rewritten as if its tower had the other color.
+    monkeypatch.setattr(
+        bijection,
+        "_section_forward",
+        lambda section, variant: exact(section.translate(swap_towers), variant),
+    )
+    assert suites.exhaustive_bijection_failures(4) != []
