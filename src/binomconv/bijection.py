@@ -17,12 +17,13 @@ phi_inverse validate their input once and then recurse on the private
 string-level steps; the public compress, expand, section and decoding
 functions wrap those same steps and check their own inputs.
 
-Untraced calls take each recursive step (keyed by the compressed
-skeleton or pair seed) and each section rewrite from bounded memos of
-exactnum.MEMO_SIZE entries, so an exhaustive sweep computes few of
-them more than once; a step that raises is never stored, so every check
-still runs on every input that fails it.  Traced calls never use the
-memos: they recurse directly, and the trace records every level.
+Each section rewrite, and each recursive step of an untraced call
+(keyed by the compressed skeleton or pair seed), comes from a bounded
+memo of exactnum.MEMO_SIZE entries, so an exhaustive sweep computes few
+of them more than once; a step that raises is never stored, so every
+check still runs on every input that fails it.  Traced calls never use
+the recursion memos: they recurse directly, and the trace records every
+level.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ def _expand(compressed: str) -> str:
     return compressed.translate(_UNPACK)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _section_forward(section: str, variant: int) -> str:
     """Rewrite a section whose interior is odd; see phi_section_forward."""
     first, interior, last = section[0], section[1:-1], section[-1]
@@ -145,6 +147,7 @@ def _section_forward(section: str, variant: int) -> str:
     return head + run
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _section_inverse(run: str, variant: int, ends: str) -> str:
     """Rewind an odd run of two or more columns between the two skeleton
     columns in ends; see phi_section_inverse."""
@@ -178,13 +181,11 @@ def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
     compressed = _compress(text.translate(_DROP_ODD))
     if trace is None:
         expanded = _expand(_phi_memo(compressed))
-        forward = _section_forward_memo
     else:
         _note(trace, depth, "input", text)
         _note(trace, depth, "tower configuration", compressed)
         expanded = _expand(_phi(compressed, trace, depth + 1))
         _note(trace, depth, "expanded image", expanded)
-        forward = _section_forward
     ones = _one_slots(text)
     out = []
     end = 0
@@ -192,7 +193,7 @@ def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
         p1, p2 = match.start(), match.end() - 1
         variant = 1 if p2 < ones else 2
         section = expanded[2 * k] + text[p1 + 1 : p2] + expanded[2 * k + 1]
-        image = forward(section, variant)
+        image = _section_forward(section, variant)
         out += (text[end:p1], image)
         end = p2 + 1
         if trace is not None:
@@ -214,13 +215,11 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
         return image
     if trace is None:
         skeleton = _expand(_phi_inverse_memo(_compress(pairs)))
-        rewind = _section_inverse_memo
     else:
         _note(trace, depth, "input", image)
         _note(trace, depth, "pair seed", pairs)
         skeleton = _expand(_phi_inverse(_compress(pairs), trace, depth + 1))
         _note(trace, depth, "skeleton", skeleton)
-        rewind = _section_inverse
     tower_one_pairs = skeleton.count("1")
     n = len(image)
     out = []
@@ -242,7 +241,7 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
         if start <= previous_end:
             raise NotInImageError(f"sections of {image} overlap")
         section = image[start - 1 : end]
-        rebuilt = rewind(section, variant, skeleton[2 * k : 2 * k + 2])
+        rebuilt = _section_inverse(section, variant, skeleton[2 * k : 2 * k + 2])
         out += (image[previous_end : start - 1], rebuilt)
         previous_end = end
         if trace is not None:
@@ -257,7 +256,7 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
     return result
 
 
-# The memos of the untraced steps.  Each looks its step up by
+# The memos of the untraced recursive steps.  Each looks its step up by
 # module-global name, so a step replaced from outside is the one called
 # once the memo is cleared.
 
@@ -272,16 +271,6 @@ def _phi_memo(compressed: str) -> str:
 def _phi_inverse_memo(seed: str) -> str:
     """_phi_inverse of a compressed pair seed, untraced."""
     return _phi_inverse(seed, None, 1)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _section_forward_memo(section: str, variant: int) -> str:
-    return _section_forward(section, variant)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _section_inverse_memo(run: str, variant: int, ends: str) -> str:
-    return _section_inverse(run, variant, ends)
 
 
 # ------------------------------------------------------------- public API

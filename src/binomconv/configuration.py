@@ -377,23 +377,24 @@ def enumerate_ordered(n: int) -> Iterator[Configuration]:
     """All ordered configurations of length n, in lexicographic order of
     (i, ones-subset, twos-subset).
 
-    The right blocks of width n - i are built once per i and shared by
-    every left block; at i = 0, the widest row with C(2n, n) blocks and
-    a single empty left block, they are made one at a time instead.
+    For i >= 2 the right blocks of width n - i are built once per i and
+    shared by every left block.  The rows of i = 0 and i = 1 are the
+    widest and have one and two left blocks, so their right blocks are
+    made one at a time instead of held.
     """
     if n < 0:
         raise ConfigurationError("length must be nonnegative")
+
+    def right_blocks(j: int) -> Iterator[str]:
+        for twos in itertools.combinations(range(1, 2 * j + 1), j):
+            yield _block(j, twos, ".bB2")
+
     for i in range(n + 1):
         j = n - i
-        twos = itertools.combinations(range(1, 2 * j + 1), j)
-        rights = (_block(j, subset, ".bB2") for subset in twos)
-        if i == 0:
-            yield from map(_wrap, rights)
-            continue
-        rights = list(rights)
+        shared = list(right_blocks(j)) if i >= 2 else None
         for ones in itertools.combinations(range(1, 2 * i + 1), i):
             left = _block(i, ones, ".aA1")
-            for right in rights:
+            for right in right_blocks(j) if shared is None else shared:
                 yield _wrap(left + right)
 
 

@@ -16,8 +16,8 @@ MEMOS = (
     identities._bridge_holds,
     bijection._phi_memo,
     bijection._phi_inverse_memo,
-    bijection._section_forward_memo,
-    bijection._section_inverse_memo,
+    bijection._section_forward,
+    bijection._section_inverse,
 )
 
 HALF = Fraction(1, 2)
