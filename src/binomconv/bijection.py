@@ -17,10 +17,14 @@ phi_inverse validate their input once and then recurse on the private
 string-level steps; the public compress, expand, section and decoding
 functions wrap those same steps and check their own inputs.
 
-Each section rewrite, and each recursive step of an untraced call
-(keyed by the compressed skeleton or pair seed), comes from a bounded
-memo of exactnum.MEMO_SIZE entries, so an exhaustive sweep computes few
-of them more than once; a step that raises is never stored, so every
+Each section rewrite, and each recursive step of an untraced call, comes
+from a bounded memo of exactnum.MEMO_SIZE entries, so an exhaustive
+sweep computes few of them more than once.  The recursion memos are
+keyed by the uncompressed skeleton (forward) or the pair seed (inverse)
+and hold the expanded result, so a hit neither compresses nor expands.
+They store only keys no longer than SWEEP_LENGTH_LIMIT, the longest
+configuration a sweep enumerates; a longer key, from a long input, goes
+straight to the step.  A step that raises is never stored, so every
 check still runs on every input that fails it.  Traced calls never use
 the recursion memos: they recurse directly, and the trace records every
 level.
@@ -39,8 +43,8 @@ from .configuration import (
     Column,
     Configuration,
     NotOrderedError,
-    _is_balanced,
-    _is_ordered,
+    _ORDERED_ONE,
+    _ORDERED_TWO,
     _one_slots,
     _only,
     _wrap,
@@ -95,16 +99,24 @@ _FLIP = str.maketrans("AaBb", "aAbB")
 _TO_ONE = str.maketrans("AaBb", "AaAa")
 _TO_TWO = str.maketrans("AaBb", "BbBb")
 
-#: A descent of a tower-free string: color Two, then color One.
-_DESCENT = re.compile("[Bb](?=[Aa])")
+#: A descent of a tower-free string: color Two, then color One.  It is
+#: captured, so that splitting on it keeps it.
+_DESCENT = re.compile("([Bb][Aa])")
 #: The tower/empty pair a descent encodes: the left column in the bottom
 #: row means a color-One tower, the right column in the bottom row means
 #: the tower came first.
 _DESCENT_PAIR = {"ba": "1.", "bA": ".1", "Ba": "2.", "BA": ".2"}
 
-#: A section of phi's input: two consecutive tower or empty columns and
-#: the odd columns between them.
-_SECTION = re.compile("[.12][AaBb]*[.12]")
+#: A section of phi's input, captured: two consecutive tower or empty
+#: columns and the odd columns between them.
+_SECTION = re.compile("([.12][AaBb]*[.12])")
+
+#: The longest configuration an exhaustive sweep enumerates.  The
+#: untraced recursion memoizes a step only when its key, a skeleton or a
+#: pair seed, is no longer than this.  A key is never longer than its
+#: configuration, so every step of a sweep is memoized, while the long
+#: keys of long inputs, which seldom recur, are not stored.
+SWEEP_LENGTH_LIMIT = 10
 
 
 def _compress(skeleton: str) -> str:
@@ -165,42 +177,41 @@ def _section_inverse(run: str, variant: int, ends: str) -> str:
     return ends[0] + interior.translate(fill) + ends[1]
 
 
-def _decode_pairs(image: str) -> tuple[list[int], str]:
-    """The descent positions of a tower-free string and the tower/empty
-    pairs they spell."""
-    descents = [match.start() + 1 for match in _DESCENT.finditer(image)]
-    return descents, "".join([_DESCENT_PAIR[image[k - 1 : k + 1]] for k in descents])
-
-
 def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
     """phi on a balanced, ordered compact string."""
     if _only(text, ODD_CHARS):
         if trace is not None:
             _note(trace, depth, "fixed point", text)
         return text
-    compressed = _compress(text.translate(_DROP_ODD))
+    return _phi_sections(text, _one_slots(text), trace, depth)
+
+
+def _phi_sections(text: str, ones: int, trace: TraceLog | None, depth: int) -> str:
+    """_phi of a string with towers, given its count of color-One slots."""
+    skeleton = text.translate(_DROP_ODD)
     if trace is None:
-        expanded = _expand(_phi_memo(compressed))
+        step = _phi_memo if len(skeleton) <= SWEEP_LENGTH_LIMIT else _phi_skeleton
+        expanded = step(skeleton)
     else:
+        compressed = _compress(skeleton)
         _note(trace, depth, "input", text)
         _note(trace, depth, "tower configuration", compressed)
         expanded = _expand(_phi(compressed, trace, depth + 1))
         _note(trace, depth, "expanded image", expanded)
-    ones = _one_slots(text)
-    out = []
+    # The odd stretches at the even indices, the sections at the odd ones;
+    # each section is replaced by its image in place.
+    parts = _SECTION.split(text)
     end = 0
-    for k, match in enumerate(_SECTION.finditer(text)):
-        p1, p2 = match.start(), match.end() - 1
-        variant = 1 if p2 < ones else 2
-        section = expanded[2 * k] + text[p1 + 1 : p2] + expanded[2 * k + 1]
-        image = _section_forward(section, variant)
-        out += (text[end:p1], image)
-        end = p2 + 1
+    for k in range(1, len(parts), 2):
+        start = end + len(parts[k - 1])
+        end = start + len(parts[k])
+        variant = 1 if end <= ones else 2
+        section = expanded[k - 1] + parts[k][1:-1] + expanded[k]
+        parts[k] = image = _section_forward(section, variant)
         if trace is not None:
-            _note(trace, depth, f"section {p1 + 1}..{p2 + 1}",
+            _note(trace, depth, f"section {start + 1}..{end}",
                   f"variant {variant}: {section} -> {image}")
-    out.append(text[end:])
-    result = "".join(out)
+    result = "".join(parts)
     if trace is not None:
         _note(trace, depth, "image", result)
     return result
@@ -208,69 +219,80 @@ def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
 
 def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
     """phi_inverse on a tower-free compact string."""
-    descents, pairs = _decode_pairs(image)
-    if not descents:
+    # The stretches between descents at the even indices, the descents at
+    # the odd ones.
+    parts = _DESCENT.split(image)
+    if len(parts) == 1:
         if trace is not None:
             _note(trace, depth, "fixed point", image)
         return image
+    pairs = "".join(map(_DESCENT_PAIR.__getitem__, parts[1::2]))
     if trace is None:
-        skeleton = _expand(_phi_inverse_memo(_compress(pairs)))
+        step = _phi_inverse_memo if len(pairs) <= SWEEP_LENGTH_LIMIT else _phi_inverse_seed
+        skeleton = step(pairs)
     else:
         _note(trace, depth, "input", image)
         _note(trace, depth, "pair seed", pairs)
         skeleton = _expand(_phi_inverse(_compress(pairs), trace, depth + 1))
         _note(trace, depth, "skeleton", skeleton)
     tower_one_pairs = skeleton.count("1")
-    n = len(image)
-    out = []
     previous_end = 0
-    for k, descent in enumerate(descents):
-        # 1-based bounds: the section is image[start - 1 : end].  Every
-        # section ends in a color-One column, so a run of color-Two
-        # columns stops before the previous section, and a run of
-        # color-One columns stops before the next descent.
-        if k < tower_one_pairs:
+    # Every section ends in a color-One column, so a run of color-Two
+    # columns stops at the previous section, and a run of color-One
+    # columns stops at the next descent.  Each section is cut from the
+    # stretch before its descent (variant 1) or after it (variant 2), and
+    # replaced by its preimage in place.
+    for k in range(1, len(parts), 2):
+        if k // 2 < tower_one_pairs:
             variant = 1
-            start = previous_end + len(image[previous_end : descent - 1].rstrip("Bb")) + 1
-            end = descent + 1
+            kept = parts[k - 1].rstrip("Bb")
+            section = parts[k - 1][len(kept) :] + parts[k]
+            parts[k - 1] = kept
         else:
             variant = 2
-            start = descent
-            stop = descents[k + 1] - 1 if k + 1 < len(descents) else n
-            end = stop - len(image[descent + 1 : stop].lstrip("Aa"))
-        if start <= previous_end:
-            raise NotInImageError(f"sections of {image} overlap")
-        section = image[start - 1 : end]
-        rebuilt = _section_inverse(section, variant, skeleton[2 * k : 2 * k + 2])
-        out += (image[previous_end : start - 1], rebuilt)
-        previous_end = end
+            kept = parts[k - 1]
+            rest = parts[k + 1].lstrip("Aa")
+            section = parts[k] + parts[k + 1][: len(parts[k + 1]) - len(rest)]
+            parts[k + 1] = rest
+        parts[k] = rebuilt = _section_inverse(section, variant, skeleton[k - 1 : k + 1])
         if trace is not None:
-            _note(trace, depth, f"section {start}..{end}",
+            start = previous_end + len(kept) + 1
+            previous_end = start + len(section) - 1
+            _note(trace, depth, f"section {start}..{previous_end}",
                   f"variant {variant}: {section} -> {rebuilt}")
-    out.append(image[previous_end:])
-    result = "".join(out)
-    if not (_is_balanced(result) and _is_ordered(result)):
+    result = "".join(parts)
+    empties, one_towers = result.count("."), result.count("1")
+    ones = result.count("A") + result.count("a") + 2 * one_towers
+    if (
+        empties != one_towers + result.count("2")
+        or result[:ones].strip(_ORDERED_ONE)
+        or result[ones:].strip(_ORDERED_TWO)
+    ):
         raise NotInImageError(f"{image} reconstructs to {result}, which is not ordered")
     if trace is not None:
         _note(trace, depth, "preimage", result)
     return result
 
 
-# The memos of the untraced recursive steps.  Each looks its step up by
-# module-global name, so a step replaced from outside is the one called
-# once the memo is cleared.
+# The untraced recursive steps and their memos.  A step takes the
+# uncompressed skeleton or pair seed and returns the expanded result, so a
+# memo hit compresses and expands nothing.  Each step calls _phi or
+# _phi_inverse by module-global name, so a step replaced from outside is
+# the one called once the memo is cleared.
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _phi_memo(compressed: str) -> str:
-    """_phi of a compressed skeleton, untraced."""
-    return _phi(compressed, None, 1)
+def _phi_skeleton(skeleton: str) -> str:
+    """_phi of the compressed skeleton, expanded, untraced."""
+    return _expand(_phi(_compress(skeleton), None, 1))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _phi_inverse_memo(seed: str) -> str:
-    """_phi_inverse of a compressed pair seed, untraced."""
-    return _phi_inverse(seed, None, 1)
+def _phi_inverse_seed(pairs: str) -> str:
+    """_phi_inverse of the compressed pair seed, expanded, untraced."""
+    return _expand(_phi_inverse(_compress(pairs), None, 1))
+
+
+_phi_memo = lru_cache(maxsize=MEMO_SIZE)(_phi_skeleton)
+_phi_inverse_memo = lru_cache(maxsize=MEMO_SIZE)(_phi_inverse_seed)
 
 
 # ------------------------------------------------------------- public API
@@ -367,27 +389,34 @@ def decode_pairs(
     """
     if not is_tower_free(image):
         raise NotTowerFreeError(f"{image} is not tower-free")
-    text = image.text
-    descents, pairs = _decode_pairs(text)
+    descents = list(_DESCENT.finditer(image.text))
     return [
-        (k, Color.ONE if text[k - 1] == "b" else Color.TWO, text[k] == "a")
-        for k in descents
-    ], _wrap(pairs)
+        (match.start() + 1, Color.ONE if match[0][0] == "b" else Color.TWO, match[0][1] == "a")
+        for match in descents
+    ], _wrap("".join([_DESCENT_PAIR[match[0]] for match in descents]))
 
 
 def phi(configuration: Configuration, trace: TraceLog | None = None) -> Configuration:
     """Map an ordered configuration to its tower-free image."""
-    text = configuration.validate().text
-    if not _is_ordered(text):
+    text = configuration.text
+    empties, one_towers = text.count("."), text.count("1")
+    if empties != one_towers + text.count("2"):
+        configuration.validate()  # raises InvalidSlotCountError
+    ones = text.count("A") + text.count("a") + 2 * one_towers
+    if text[:ones].strip(_ORDERED_ONE) or text[ones:].strip(_ORDERED_TWO):
         raise NotOrderedError(f"{configuration} is not ordered")
-    return _wrap(_phi(text, trace, 0))
+    # Balanced, so a configuration without empties has no towers either.
+    if not empties:
+        return _wrap(_phi(text, trace, 0))
+    return _wrap(_phi_sections(text, ones, trace, 0))
 
 
 def phi_inverse(image: Configuration, trace: TraceLog | None = None) -> Configuration:
     """Map a tower-free configuration back to its ordered preimage."""
-    if not is_tower_free(image):
+    text = image.text
+    if text.strip(ODD_CHARS):
         raise NotTowerFreeError(f"{image} is not tower-free")
-    return _wrap(_phi_inverse(image.text, trace, 0))
+    return _wrap(_phi_inverse(text, trace, 0))
 
 
 def format_trace(trace: TraceLog) -> str:

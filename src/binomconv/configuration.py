@@ -155,6 +155,10 @@ ODD_CHARS = "AaBb"
 TOWER_CHARS = "12"
 ONE_CHARS = "Aa1"
 TWO_CHARS = "Bb2"
+#: The characters allowed before and after the boundary of an ordered
+#: configuration.
+_ORDERED_ONE = "." + ONE_CHARS
+_ORDERED_TWO = "." + TWO_CHARS
 _TOP_CHARS = "A1B2"
 _BOTTOM_CHARS = "a1b2"
 
@@ -185,15 +189,7 @@ def _is_ordered(text: str) -> bool:
     """Color One only in the first k columns and color Two only after
     them, k being the number of color-One slots."""
     ones = _one_slots(text)
-    return _only(text[:ones], "." + ONE_CHARS) and _only(text[ones:], "." + TWO_CHARS)
-
-
-def _wrap(text: str) -> "Configuration":
-    """The configuration stored as text, which must already be over the
-    alphabet: nothing is checked."""
-    configuration = object.__new__(Configuration)
-    object.__setattr__(configuration, "text", text)
-    return configuration
+    return _only(text[:ones], _ORDERED_ONE) and _only(text[ones:], _ORDERED_TWO)
 
 
 class Configuration:
@@ -265,6 +261,19 @@ class Configuration:
                 f"{self.colored_slots} colored slots in {len(self.text)} columns"
             )
         return self
+
+
+#: The slot's own setter: it skips both the immutability guard of
+#: __setattr__ and the attribute lookup of object.__setattr__.
+_set_text = Configuration.text.__set__
+
+
+def _wrap(text: str) -> Configuration:
+    """The configuration stored as text, which must already be over the
+    alphabet: nothing is checked."""
+    configuration = object.__new__(Configuration)
+    _set_text(configuration, text)
+    return configuration
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomconv import suites
+from binomconv import bijection, suites
 from binomconv.bijection import (
     BijectionError,
     HasOddColumnsError,
@@ -287,6 +287,15 @@ def test_phi_requires_balance():
         phi(Configuration((tower(Color.ONE),)))
 
 
+def test_phi_error_messages_are_pinned():
+    with pytest.raises(InvalidSlotCountError) as error:
+        phi(Configuration((tower(Color.ONE),)))
+    assert str(error.value) == "2 colored slots in 1 columns"
+    with pytest.raises(NotOrderedError) as error:
+        phi(parse_compact("BA"))
+    assert str(error.value) == "BA is not ordered"
+
+
 def test_phi_inverse_golden():
     for image, preimage in (
         ("ba", "1."),
@@ -307,6 +316,33 @@ def test_phi_inverse_requires_tower_free():
         phi_inverse(parse_compact("1."))
     with pytest.raises(NotTowerFreeError):
         phi_inverse(parse_compact(".A1"))
+
+
+def test_phi_inverse_rejects_an_unbalanced_reconstruction(monkeypatch):
+    # A skeleton that lost its tower rebuilds the section of ba with two
+    # empties and no tower.
+    exact = bijection._phi_inverse_memo
+    monkeypatch.setattr(
+        bijection, "_phi_inverse_memo", lambda pairs: exact(pairs).replace("1", ".")
+    )
+    with pytest.raises(NotInImageError) as error:
+        phi_inverse(parse_compact("ba"))
+    assert str(error.value) == "ba reconstructs to .., which is not ordered"
+
+
+def test_phi_inverse_rejects_an_unordered_reconstruction(monkeypatch):
+    # Every section is rewound as if its tower had the other color: the
+    # color-One tower of 2. lands before the color-Two column it precedes.
+    exact = bijection._section_inverse
+    swap_towers = str.maketrans("12", "21")
+    monkeypatch.setattr(
+        bijection,
+        "_section_inverse",
+        lambda run, variant, ends: exact(run, variant, ends.translate(swap_towers)),
+    )
+    with pytest.raises(NotInImageError) as error:
+        phi_inverse(parse_compact("BaA"))
+    assert str(error.value) == "BaA reconstructs to 1B., which is not ordered"
 
 
 def test_phi_is_a_bijection_exhaustively():
@@ -410,6 +446,28 @@ def test_sweep_reports_images_that_keep_towers(monkeypatch):
         "phi(phi_inverse(bA)) != bA",
         "phi(phi_inverse(ba)) != ba",
     ]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_sweep_calls_each_public_map_once_per_configuration_each_way(n, monkeypatch):
+    # One phi and one phi_inverse per ordered configuration, then one of
+    # each per tower-free one: the traced benchmark pins these counts.
+    calls = {"phi": 0, "phi_inverse": 0}
+
+    def counting(name):
+        exact = getattr(bijection, name)
+
+        def counted(configuration, trace=None):
+            calls[name] += 1
+            return exact(configuration, trace)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(bijection, name, counting(name))
+    assert suites.exhaustive_bijection_failures(n) == []
+    expected = suites.ordered_count(n) + 4**n
+    assert calls == {"phi": expected, "phi_inverse": expected}
 
 
 def test_sweep_holds_no_image_objects():

@@ -269,6 +269,7 @@ def test_verify_passes_under_python_optimize():
     for bounds in (
         ["--suite", "series", "--order", "16"],
         ["--suite", "identities", "--n-max", "8", "--t-max", "3"],
+        ["--suite", "bijection", "--n-max", "5"],
     ):
         done = subprocess.run(
             [sys.executable, "-O", "-m", "binomconv.cli", "verify", *bounds],
