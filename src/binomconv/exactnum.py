@@ -15,6 +15,8 @@ integers too and build one Fraction per result.  A Fraction is built
 only where a rational is read: a scalar result, a polynomial's value,
 or its coefficients.  integer_convolution is the one integer Cauchy
 product loop; series products and convolution sums use it too.
+Convolution sums build their offset columns as integers without
+binomial, so this loop is all they share with identities.closed_form.
 """
 
 from __future__ import annotations

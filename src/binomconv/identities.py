@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Union
 
 from .exactnum import (
@@ -39,7 +39,6 @@ from .exactnum import (
     falling_factorial,
     finite_difference,
     integer_convolution,
-    scaled_to_integers,
 )
 
 
@@ -63,8 +62,22 @@ class ConvolutionSpec:
         return len(self.offsets)
 
 
-def _offset_column(offset: Fraction, n: int) -> list[Fraction]:
-    return [binomial(2 * m + offset, m) for m in range(n + 1)]
+def _offset_column(offset: Fraction, n: int) -> tuple[list[int], int]:
+    """binomial(2m + offset, m) for m = 0..n, as integers over one scale.
+
+    For offset = p/q, entry m is the product of (2m - j)q + p over
+    j < m, divided by q^m*m!.  For q = 1 that division is exact and the
+    scale is 1; otherwise every entry is brought to the scale q^n*n!.
+    """
+    p, q = offset.numerator, offset.denominator
+    tops = [prod(range(2 * m * q + p, m * q + p, -q)) for m in range(n + 1)]
+    if q == 1:
+        return [top // factorial(m) for m, top in enumerate(tops)], 1
+    lift = 1  # q^(n-m)*n!/m!
+    for m in range(n, -1, -1):
+        tops[m] *= lift
+        lift *= q * m
+    return tops, q**n * factorial(n)
 
 
 def convolution_sum(spec: ConvolutionSpec) -> Fraction:
@@ -72,15 +85,16 @@ def convolution_sum(spec: ConvolutionSpec) -> Fraction:
 
     Computed by iterated truncated sequence convolution rather than by
     enumerating compositions, so the cost is t*n^2 exact products.  Each
-    column is scaled to integers by the lcm of its denominators, the
-    convolutions run over integers (exactnum.integer_convolution), and
-    the sum is divided by the product of the column scales once, at the
-    end.
+    column is built directly as integers over one scale (_offset_column,
+    which never calls exactnum.binomial, so closed_form stays a separate
+    route), the convolutions run over integers
+    (exactnum.integer_convolution), and the sum is divided by the
+    product of the column scales once, at the end.
     """
     n = spec.n
-    acc, scale = scaled_to_integers(_offset_column(spec.offsets[0], n))
+    acc, scale = _offset_column(spec.offsets[0], n)
     for offset in spec.offsets[1:]:
-        col, col_scale = scaled_to_integers(_offset_column(offset, n))
+        col, col_scale = _offset_column(offset, n)
         acc = integer_convolution(acc, col, n + 1)
         scale *= col_scale
     return Fraction(acc[n], scale)

@@ -10,9 +10,12 @@ formula for g*C^l.  Series exp and log stay as a second, independent
 route to rational powers, which the route-independence case checks
 against the recurrence.
 
-Series products and powers scale their rational inputs to integers,
-run their inner loops over integers, and build one Fraction per output
-coefficient, so results are the exact, fully reduced rationals.
+A series is stored as integer numerators over one denominator, as a
+Polynomial is.  Sums, scalar and series products, truncation,
+derivatives, powers, exp and log all run over integers, and a Fraction
+is built only where a coefficient is read, so results are the exact,
+fully reduced rationals.  exp and log run their own recurrences, never
+Miller's, so the two routes to a power share no arithmetic loop.
 
 The derivative and coefficient identity checks ask for the same few
 powers of g and C over and over (g^3 serves every parameter of the gC
@@ -30,10 +33,10 @@ reads past it; binary operations require equal orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
+from math import factorial, gcd, lcm, perm
+from typing import Iterable, Sequence
 
 from .exactnum import (
     MEMO_SIZE,
@@ -56,39 +59,62 @@ class OrderExhaustedError(ValueError):
     """A coefficient or derivative beyond the truncation order was requested."""
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series truncated after x^N."""
+    """Coefficients c_0..c_N of a power series truncated after x^N.
 
-    coefficients: tuple[Fraction, ...]
+    Stored as integer numerators over one denominator: _num holds all
+    N + 1 numerators (zeros included, so its length fixes the order)
+    and _den is positive with gcd(_den, *_num) == 1.  The form is
+    canonical, so equal series always compare and hash equal, and a
+    series is never changed after it is built, so memos can share it.
+    Coefficients are read as Fractions, built on demand.
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(exact_rational, self.coefficients))
-        if not coeffs:
+    The public constructor is the only place that validates
+    coefficients; every operation builds its result over integers
+    through _from_integers.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, coefficients: Iterable[Scalar]):
+        values = [exact_rational(c) for c in coefficients]
+        if not values:
             raise ValueError("a truncated series has at least its constant term")
-        object.__setattr__(self, "coefficients", coeffs)
+        self._num, self._den = _reduced(*scaled_to_integers(values))
+
+    @classmethod
+    def _from_integers(cls, num: Sequence[int], den: int) -> "TruncatedSeries":
+        """The series with numerators num over den > 0, unvalidated."""
+        series = object.__new__(cls)
+        series._num, series._den = _reduced(num, den)
+        return series
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
         return cls((value,) + (0,) * order)
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self._num) - 1
 
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise OrderExhaustedError(
                 f"coefficient {n} of a series truncated at order {self.order}"
             )
-        return self.coefficients[n]
+        return Fraction(self._num[n], self._den)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise OrderExhaustedError(
                 f"cannot extend order {self.order} to {order}"
             )
-        return TruncatedSeries(self.coefficients[: order + 1])
+        return TruncatedSeries._from_integers(self._num[: order + 1], self._den)
 
     def _require_same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -96,28 +122,30 @@ class TruncatedSeries:
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
+    def _plus(self, num: Sequence[int], den: int) -> "TruncatedSeries":
+        """self plus the series num/den; num may stop before the order."""
+        common = lcm(self._den, den)
+        scale, other_scale = common // self._den, common // den
+        out = [c * scale for c in self._num]
+        for k, c in enumerate(num):
+            out[k] += c * other_scale
+        return TruncatedSeries._from_integers(out, common)
+
     def __add__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            return TruncatedSeries(
-                tuple(x + y for x, y in zip(self.coefficients, other.coefficients))
-            )
+            return self._plus(other._num, other._den)
         if isinstance(other, (int, Fraction)):
-            coeffs = list(self.coefficients)
-            coeffs[0] += other
-            return TruncatedSeries(coeffs)
+            return self._plus((other.numerator,), other.denominator)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coefficients))
+        return TruncatedSeries._from_integers([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._require_same_order(other)
-            return self + (-other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (TruncatedSeries, int, Fraction)):
             return self + (-other)
         return NotImplemented
 
@@ -127,17 +155,50 @@ class TruncatedSeries:
     def __mul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            a, scale_a = scaled_to_integers(self.coefficients)
-            b, scale_b = scaled_to_integers(other.coefficients)
-            scale = scale_a * scale_b
-            return TruncatedSeries(
-                [Fraction(c, scale) for c in integer_convolution(a, b, len(a))]
+            a = self._num
+            return TruncatedSeries._from_integers(
+                integer_convolution(a, other._num, len(a)), self._den * other._den
             )
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(tuple(c * other for c in self.coefficients))
+            p = other.numerator
+            return TruncatedSeries._from_integers(
+                [c * p for c in self._num], self._den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TruncatedSeries):
+            return self._num == other._num and self._den == other._den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coefficients={self.coefficients!r})"
+
+
+def _reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den with the common factor of den and all numerators divided
+    out; unlike a polynomial's form, trailing zeros stay."""
+    common = gcd(den, *num)
+    if common == 1:
+        return tuple(num), den
+    return tuple(c // common for c in num), den // common
+
+
+def _over_factorial_scales(numerators: Sequence[int], scale: int) -> TruncatedSeries:
+    """The series with coefficient n equal to numerators[n]/(n!*scale^n),
+    brought to the one denominator N!*scale^N."""
+    order = len(numerators) - 1
+    num = [0] * (order + 1)
+    lift = 1  # N!/n! * scale^(N-n)
+    for n in range(order, -1, -1):
+        num[n] = numerators[n] * lift
+        lift *= n * scale
+    return TruncatedSeries._from_integers(num, factorial(order) * scale**order)
 
 
 def _require_order(order: int) -> None:
@@ -162,14 +223,14 @@ def base_series(kind: str, order: int, s: Scalar | None = None) -> TruncatedSeri
         value = 1
         coeffs = []
         for n in range(order + 1):
-            coeffs.append(Fraction(value))
+            coeffs.append(value)
             value = value * (4 * n + 2) // (n + 1)
-        return TruncatedSeries(coeffs)
+        return TruncatedSeries._from_integers(coeffs, 1)
     if kind == "catalan":
         values = [1]
         for n in range(order):
             values.append(sum(values[i] * values[n - i] for i in range(n + 1)))
-        return TruncatedSeries([Fraction(v) for v in values])
+        return TruncatedSeries._from_integers(values, 1)
     if kind == "binomial_power":
         if s is None:
             raise ValueError("binomial_power needs the exponent s")
@@ -181,31 +242,61 @@ def base_series(kind: str, order: int, s: Scalar | None = None) -> TruncatedSeri
 
 
 def series_log(f: TruncatedSeries) -> TruncatedSeries:
-    """log f for a series with constant term 1."""
-    if f[0] != 1:
+    """log f for a series with constant term 1.
+
+    out = log f solves n*out_n = n*f_n - sum over j = 1..n-1 of
+    (n-j)*f_j*out_(n-j).  With D = f's denominator, F_j = f_j*D and
+    P_n = n!*D^n*out_n are integers, and
+
+        P_n = n!*F_n*D^(n-1)
+              - sum over j of (n-j)*F_j*D^(j-1)*P_(n-j)*(n-1)!/(n-j)!.
+    """
+    num, den = f._num, f._den
+    if num[0] != den:
         raise NonUnitConstantTermError(f"constant term is {f[0]}, need 1")
-    order = f.order
-    out = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        acc = n * f[n]
+    # weighted[j] = F_j*D^(j-1) for j >= 1
+    weighted = [0] + [c * den**j for j, c in enumerate(num[1:])]
+    numerators = [0]  # P_0..P_n
+    for n in range(1, f.order + 1):
+        acc = factorial(n) * weighted[n]
+        falling = 1  # (n-1)!/(n-j)!
         for j in range(1, n):
-            acc -= f[j] * (n - j) * out[n - j]
-        out[n] = acc / n
-    return TruncatedSeries(out)
+            acc -= (n - j) * weighted[j] * numerators[n - j] * falling
+            falling *= n - j
+        numerators.append(acc)
+    return _over_factorial_scales(numerators, den)
 
 
 def series_exp(u: TruncatedSeries) -> TruncatedSeries:
-    """exp u for a series with constant term 0."""
-    if u[0] != 0:
+    """exp u for a series with constant term 0.
+
+    e = exp u solves n*e_n = sum over k = 1..n of k*u_k*e_(n-k).  With
+    E the denominator of the coefficients k*u_k of x*u' in lowest
+    terms, V_k = k*u_k*E and Q_n = n!*E^n*e_n are integers, and
+
+        Q_n = sum over k of V_k*E^(k-1)*Q_(n-k)*(n-1)!/(n-k)!.
+
+    E is often far smaller than u's own denominator: for u = t*log g,
+    x*u' = 2tx/(1-4x) has integer coefficients over t's denominator.
+    """
+    num, den = u._num, u._den
+    if num[0]:
         raise ValueError(f"constant term is {u[0]}, need 0")
-    order = u.order
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        acc = Fraction(0)
+    common = gcd(den, *[k * c for k, c in enumerate(num)])
+    scale = den // common  # E
+    # weighted[k] = V_k*E^(k-1) for k >= 1
+    weighted = [0] + [
+        k * num[k] // common * scale ** (k - 1) for k in range(1, len(num))
+    ]
+    numerators = [1]  # Q_0..Q_n
+    for n in range(1, u.order + 1):
+        acc = 0
+        falling = 1  # (n-1)!/(n-k)!
         for k in range(1, n + 1):
-            acc += k * u[k] * out[n - k]
-        out[n] = acc / n
-    return TruncatedSeries(out)
+            acc += weighted[k] * numerators[n - k] * falling
+            falling *= n - k
+        numerators.append(acc)
+    return _over_factorial_scales(numerators, scale)
 
 
 def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
@@ -216,27 +307,24 @@ def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
 
         n*h_n = sum over k = 1..n of ((r+1)k - n)*f_k*h_(n-k).
 
-    With r = p/q in lowest terms and D the lcm of f's denominators,
-    F_k = f_k*D^k and A_n = n!*q^n*D^n*h_n are integers, and
+    With r = p/q in lowest terms and D = f's denominator, F_k = f_k*D^k
+    and A_n = n!*q^n*D^n*h_n are integers, and
 
         A_n = sum over k of ((p+q)k - nq)*F_k*q^(k-1)*A_(n-k)*(n-1)!/(n-k)!,
 
-    so the loop runs over integers and each h_n is one Fraction
-    A_n/(n!*q^n*D^n).  This route never consults any closed-form
-    coefficient formula, so it can serve as one side of a coefficient
-    identity check; series_exp(series_log(f)*r) is a second route to
-    the same series.
+    so the loop runs over integers and h_n is A_n/(n!*q^n*D^n).  This
+    route never consults any closed-form coefficient formula, so it can
+    serve as one side of a coefficient identity check;
+    series_exp(series_log(f)*r) is a second route to the same series.
     """
     r = exact_rational(r)
-    if f[0] != 1:
+    if f._num[0] != f._den:
         raise NonUnitConstantTermError(f"constant term is {f[0]}, need 1")
     p, q = r.numerator, r.denominator
-    f_scaled, scale = scaled_to_integers(f.coefficients)  # f_k*D
+    scale = f._den
     # weighted[k-1] = F_k*q^(k-1) = (f_k*D)*(D*q)^(k-1) for k >= 1
-    weighted = [c * (scale * q) ** j for j, c in enumerate(f_scaled[1:])]
+    weighted = [c * (scale * q) ** j for j, c in enumerate(f._num[1:])]
     numerators = [1]  # A_0..A_n
-    out = [Fraction(1)]
-    denominator = 1  # n!*q^n*D^n
     for n in range(1, f.order + 1):
         acc = 0
         falling = 1  # (n-1)!/(n-k)!
@@ -244,9 +332,7 @@ def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
             acc += ((p + q) * k - n * q) * weighted[k - 1] * numerators[n - k] * falling
             falling *= n - k
         numerators.append(acc)
-        denominator *= n * q * scale
-        out.append(Fraction(acc, denominator))
-    return TruncatedSeries(out)
+    return _over_factorial_scales(numerators, q * scale)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -274,8 +360,9 @@ def nth_derivative(f: TruncatedSeries, n: int) -> TruncatedSeries:
         raise OrderExhaustedError(
             f"derivative {n} of a series truncated at order {f.order}"
         )
-    return TruncatedSeries(
-        [f[k + n] * perm(k + n, n) for k in range(f.order - n + 1)]
+    num = f._num
+    return TruncatedSeries._from_integers(
+        [num[k + n] * perm(k + n, n) for k in range(f.order - n + 1)], f._den
     )
 
 

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binomconv import identities
+from binomconv import identities, suites
 from binomconv.exactnum import OutOfRangeError, Polynomial, X, binomial
 from binomconv.identities import (
     ConvolutionSpec,
@@ -105,6 +105,45 @@ def test_convolution_sum_is_offset_order_invariant(n, offsets):
     forward = convolution_sum(ConvolutionSpec(n, tuple(offsets)))
     backward = convolution_sum(ConvolutionSpec(n, tuple(reversed(offsets))))
     assert forward == backward
+
+
+def assert_column_matches_binomials(offset, n):
+    column, scale = identities._offset_column(offset, n)
+    assert all(type(c) is int for c in column) and len(column) == n + 1
+    assert [Fraction(c, scale) for c in column] == [
+        binomial(2 * m + offset, m) for m in range(n + 1)
+    ]
+    if offset.denominator == 1:
+        assert scale == 1
+
+
+@given(offset=rational_offsets, n=st.integers(0, 12))
+@example(offset=Fraction(-7, 6), n=12)
+@example(offset=Fraction(1, 2), n=0)
+@settings(max_examples=60)
+def test_offset_column_matches_exactnum_binomial(offset, n):
+    assert_column_matches_binomials(offset, n)
+
+
+def test_offset_column_at_negative_integer_offsets():
+    # Offsets down to -2n - 2, so 2m + offset <= 0 for some or all m.
+    for offset in range(-20, 0):
+        assert_column_matches_binomials(Fraction(offset), 9)
+
+
+def test_an_off_by_one_offset_column_fails_the_closed_form_checks(monkeypatch):
+    exact = identities._offset_column
+
+    def perturbed(offset, n):
+        column, scale = exact(offset, n)
+        if n >= 2:
+            column[2] += 1
+        return column, scale
+
+    monkeypatch.setattr(identities, "_offset_column", perturbed)
+    assert suites.zero_offset_closed_form_failures(2, 3) != []
+    assert not identities.opposite_offsets_check(3, 1)
+    assert not identities.opposite_offsets_check(3, Fraction(1, 2))
 
 
 # ----------------------------------------------------------------- closed form

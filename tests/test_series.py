@@ -1,7 +1,7 @@
 """Truncated power series, rational powers, and the series identities."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +121,122 @@ def test_series_product_matches_cauchy_oracle(pair):
     a, b = pair
     product = TruncatedSeries(a) * TruncatedSeries(b)
     assert product.coefficients == cauchy_product(a, b)
+
+
+def fraction_log(f):
+    """log f by the textbook Fraction recurrence; test-only."""
+    out = [Fraction(0)] * len(f)
+    for n in range(1, len(f)):
+        acc = n * f[n]
+        for j in range(1, n):
+            acc -= f[j] * (n - j) * out[n - j]
+        out[n] = acc / n
+    return tuple(out)
+
+
+def fraction_exp(u):
+    """exp u by the textbook Fraction recurrence; test-only."""
+    out = [Fraction(1)] + [Fraction(0)] * (len(u) - 1)
+    for n in range(1, len(u)):
+        out[n] = sum((k * u[k] * out[n - k] for k in range(1, n + 1)), Fraction(0)) / n
+    return tuple(out)
+
+
+def assert_canonical(f: TruncatedSeries) -> None:
+    """The stored form: integer numerators, one per coefficient, over a
+    positive denominator that shares no factor with all of them."""
+    num, den = f._num, f._den
+    assert all(type(c) is int for c in num) and type(den) is int and den > 0
+    assert len(num) == f.order + 1
+    assert gcd(den, *num) == 1
+
+
+# (1/2, 1/3) and (1/2, 2/3) differ in their denominators, and their sum
+# (1, 1) and difference (0, -1/3) cancel them.
+CANCELLING = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3)))
+
+
+@given(pair=series_pairs, c=mixed)
+@example(pair=CANCELLING, c=Fraction(6))
+@example(
+    pair=((Fraction(1, 6), Fraction(-5, 12), 0), (Fraction(5, 6), Fraction(5, 12), 0)),
+    c=Fraction(-12, 5),
+)
+@example(pair=((0, 0), (0, 0)), c=Fraction(0))
+@settings(max_examples=60)
+def test_series_kernels_match_fraction_loops(pair, c):
+    a, b = pair
+    f, g = TruncatedSeries(a), TruncatedSeries(b)
+    order = f.order
+    pairs = [
+        (f + g, tuple(x + y for x, y in zip(a, b))),
+        (f - g, tuple(x - y for x, y in zip(a, b))),
+        (f + c, (a[0] + c, *a[1:])),
+        (c - f, (c - a[0], *(-x for x in a[1:]))),
+        (f * c, tuple(x * c for x in a)),
+        (f * g, cauchy_product(a, b)),
+        (f.truncate(order // 2), tuple(a[: order // 2 + 1])),
+    ]
+    for n in range(order + 1):
+        derivative = tuple(a[k + n] * perm(k + n, n) for k in range(order - n + 1))
+        pairs.append((nth_derivative(f, n), derivative))
+    for result, reference in pairs:
+        assert result.coefficients == reference
+        assert result == TruncatedSeries(reference)
+        assert_canonical(result)
+
+
+@given(pair=series_pairs)
+@example(pair=CANCELLING)
+@example(pair=((0, Fraction(1, 2), Fraction(-1, 3), Fraction(7, 12)), (0, 1, 0, 0)))
+@settings(max_examples=40, deadline=None)
+def test_log_and_exp_match_fraction_recurrences(pair):
+    a, b = pair
+    unit, zero = TruncatedSeries((1, *a[1:])), TruncatedSeries((0, *b[1:]))
+    for result, reference in (
+        (series_log(unit), fraction_log(unit.coefficients)),
+        (series_exp(zero), fraction_exp(zero.coefficients)),
+    ):
+        assert result.coefficients == reference
+        assert_canonical(result)
+
+
+def test_one_series_by_two_routes_is_stored_once():
+    routes = [
+        TruncatedSeries((Fraction(1, 2), Fraction(1, 3))).truncate(0) * 2,
+        TruncatedSeries.constant(1, 0),
+        TruncatedSeries((Fraction(3, 4),)) + Fraction(1, 4),
+        TruncatedSeries((Fraction(2, 3),)) * Fraction(3, 2),
+        nth_derivative(TruncatedSeries((5, Fraction(1, 7), Fraction(1, 2))), 2),
+    ]
+    for series in routes:
+        assert series == routes[0]
+        assert hash(series) == hash(routes[0])
+        assert (series._num, series._den) == ((1,), 1)
+    zero = TruncatedSeries((Fraction(1, 3), Fraction(1, 5))) * 0
+    assert (zero._num, zero._den) == ((0, 0), 1)
+
+
+def test_series_are_immutable():
+    f = TruncatedSeries((1, Fraction(1, 2)))
+    with pytest.raises(AttributeError):
+        f.coefficients = (1, 1)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    assert f.coefficients == (1, Fraction(1, 2))
+
+
+def test_integer_form_still_refuses_floats():
+    f = TruncatedSeries((1, 2))
+    for entry in (
+        lambda: TruncatedSeries((1, 0.5)),
+        lambda: TruncatedSeries.constant(0.5, 3),
+        lambda: f * 0.5,
+        lambda: 0.5 * f,
+        lambda: f + 0.5,
+    ):
+        with pytest.raises(TypeError):
+            entry()
 
 
 @given(f=unit_series, g=unit_series, h=unit_series)
