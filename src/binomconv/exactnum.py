@@ -34,8 +34,9 @@ Scalar = Union[int, Fraction]
 NEG_INFINITY = float("-inf")
 
 #: Entries kept by each memo of exact sub-results in series and
-#: identities.  The default bounds need at most about 140 in one memo;
-#: the limit keeps a long-lived process from growing without bound.
+#: identities.  The default bounds need at most 188 in one memo (the
+#: certificate summands); the limit keeps a long-lived process from
+#: growing without bound.
 MEMO_SIZE = 256
 
 

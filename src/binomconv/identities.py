@@ -18,7 +18,11 @@ every check reads the same sequence entries and the same bridge to the
 convolution sum.  So the entries (_difference_poly) and the bridge
 (_bridge_holds) are computed once per process, keyed on n, the
 validated exact a and the index; a case's wall time can therefore
-depend on which cases ran before it.  Closed forms are never memoized.
+depend on which cases ran before it.  Nothing else is memoized: closed
+forms, convolution sums and inclusion-exclusion sums are recomputed on
+every call.  For integer L the inclusion-exclusion sum runs both of its
+rewritings on math.comb, over plain integers, with no Fraction until
+the result.
 """
 
 from __future__ import annotations
@@ -85,16 +89,18 @@ def convolution_sum(spec: ConvolutionSpec) -> Fraction:
 
     Computed by iterated truncated sequence convolution rather than by
     enumerating compositions, so the cost is t*n^2 exact products.  Each
-    column is built directly as integers over one scale (_offset_column,
-    which never calls exactnum.binomial, so closed_form stays a separate
-    route), the convolutions run over integers
+    distinct offset's column is built once per call, directly as
+    integers over one scale (_offset_column, which never calls
+    exactnum.binomial, so closed_form stays a separate route), the
+    convolutions run over integers
     (exactnum.integer_convolution), and the sum is divided by the
     product of the column scales once, at the end.
     """
     n = spec.n
-    acc, scale = _offset_column(spec.offsets[0], n)
+    columns = {offset: _offset_column(offset, n) for offset in set(spec.offsets)}
+    acc, scale = columns[spec.offsets[0]]
     for offset in spec.offsets[1:]:
-        col, col_scale = _offset_column(offset, n)
+        col, col_scale = columns[offset]
         acc = integer_convolution(acc, col, n + 1)
         scale *= col_scale
     return Fraction(acc[n], scale)
@@ -146,29 +152,38 @@ def inclusion_exclusion_sum(L: PolyOrRational, p: int) -> PolyOrRational:
     for any rational L (for integers, L >= p so the subset-counting
     regime applies).  The summand uses the lower index p-i, which is
     polynomial-safe; for integer L the equivalent subset-counting form
-    with lower index L-p is evaluated too and must agree.
+    with lower index L-p is evaluated too and must agree.  Integer L
+    runs both forms over plain integers (math.comb) and returns the
+    total as a Fraction.
     """
     if not isinstance(p, int) or p < 0:
         raise ValueError("p must be a nonnegative integer")
     symbolic = isinstance(L, Polynomial)
     if not symbolic:
         L = exact_rational(L)
-        if L.denominator == 1 and L < p:
-            raise ValueError("integer L must be at least p")
+        if L.denominator == 1:
+            return _integer_inclusion_exclusion_sum(int(L), p)
     total: PolyOrRational = Polynomial() if symbolic else Fraction(0)
     for i in range(p + 1):
         term = binomial(L - i, p - i) * binomial(L - p, i)
         total = total - term if i % 2 else total + term
-    if not symbolic and L.denominator == 1:
-        counting = Fraction(0)
-        for i in range(p + 1):
-            term = binomial(L - i, int(L) - p) * binomial(L - p, i)
-            counting = counting - term if i % 2 else counting + term
-        if counting != total:
-            raise RewritingMismatchError(
-                f"L={L}, p={p}: the summand rewritings give {total} and {counting}"
-            )
     return total
+
+
+def _integer_inclusion_exclusion_sum(L: int, p: int) -> Fraction:
+    """inclusion_exclusion_sum for integer L, by both rewritings."""
+    if L < p:
+        raise ValueError("integer L must be at least p")
+    total = counting = 0
+    for i in range(p + 1):
+        sign = -1 if i % 2 else 1
+        total += sign * comb(L - i, p - i) * comb(L - p, i)
+        counting += sign * comb(L - i, L - p) * comb(L - p, i)
+    if counting != total:
+        raise RewritingMismatchError(
+            f"L={L}, p={p}: the summand rewritings give {total} and {counting}"
+        )
+    return Fraction(total)
 
 
 def opposite_offsets_check(n: int, L: Scalar) -> bool:

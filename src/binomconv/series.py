@@ -17,15 +17,19 @@ is built only where a coefficient is read, so results are the exact,
 fully reduced rationals.  exp and log run their own recurrences, never
 Miller's, so the two routes to a power share no arithmetic loop.
 
-The derivative and coefficient identity checks ask for the same few
-powers of g and C over and over (g^3 serves every parameter of the gC
-variant), so the base series g and C and their powers are computed once
-per process: _base and _power memoize them, keyed on the series kind,
-the order and the exact exponent, after the checks have validated
-those.  A case's wall time can therefore depend on which cases ran
-before it.  Closed forms are never memoized, so each identity still
-compares two independent computations, and the exp/log route does not
-go through the memo.
+The series cases ask for the same few powers of g and C over and over
+(g^3 serves every parameter of the gC variant, and the route, law and
+additivity cases reuse powers the identity checks take), so the base
+series g and C and their powers are computed once per process: _base
+and _power memoize them, keyed on the series kind, the order and the
+exact exponent, after the checks (or base_power) have validated those.
+The certificate polynomials F(n, i) and G(n, i) are memoized too, each
+in its own memo keyed on the integers (n, i), so the two sides of the
+telescoping identity share no result.  A case's wall time can
+therefore depend on which cases ran before it.  Closed forms are never
+memoized, so each identity still compares two independent
+computations, and neither the exp/log route nor the binomial-power
+series goes through a memo.
 
 Everything is truncated at an explicit order N and arithmetic never
 reads past it; binary operations require equal orders.
@@ -343,13 +347,21 @@ def _base(kind: str, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _power(kind: str, order: int, r: Fraction) -> TruncatedSeries:
-    """series_pow of a memoized base series, computed once per exponent.
+    """series_pow of a memoized base series, computed once per exponent
+    for every series case (through base_power or the identity checks).
 
     The key must already be exact: 0.5 == Fraction(1, 2) and both hash
     alike, so an unvalidated float would be handed the cached result.
     A TruncatedSeries is frozen, so every caller can share the result.
     """
     return series_pow(_base(kind, order), r)
+
+
+def base_power(kind: str, order: int, r: Scalar) -> TruncatedSeries:
+    """series_pow(base_series(kind, order), r) for g or catalan, from
+    the memo; order and r are validated before the lookup."""
+    _require_order(order)
+    return _power(kind, order, exact_rational(r))
 
 
 def nth_derivative(f: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -450,9 +462,21 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _require_lattice_point(n: int, i: int) -> None:
+    """Certificate memo keys must be ints: 2.0 == 2 and both hash alike."""
+    if not (isinstance(n, int) and isinstance(i, int)):
+        raise OutOfRangeError("certificate indices must be integers")
+
+
 def certificate_summand(n: int, i: int) -> Polynomial:
     """F(n, i) = binomial(2n-i, n-i)*binomial(x+i-1, i), polynomial in
     the exponent variable; zero when i > n."""
+    _require_lattice_point(n, i)
+    return _certificate_summand(n, i)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _certificate_summand(n: int, i: int) -> Polynomial:
     scale = binomial(2 * n - i, n - i)
     return binomial(Polynomial((i - 1, 1)), i) * scale
 
@@ -460,6 +484,12 @@ def certificate_summand(n: int, i: int) -> Polynomial:
 def certificate_multiplier(n: int, i: int) -> Polynomial:
     """G(n, i) = i(i+1)*binomial(2n+1-i, n+1-i)*binomial(x+i, i+1); the
     telescoping companion of the summand."""
+    _require_lattice_point(n, i)
+    return _certificate_multiplier(n, i)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _certificate_multiplier(n: int, i: int) -> Polynomial:
     scale = i * (i + 1) * binomial(2 * n + 1 - i, n + 1 - i)
     return binomial(Polynomial((i, 1)), i + 1) * scale
 

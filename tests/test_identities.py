@@ -1,6 +1,8 @@
 """Convolution-sum identities, checked against a brute-force oracle."""
 
 from fractions import Fraction
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -245,11 +247,33 @@ def test_inclusion_exclusion_reports_disagreeing_rewritings(monkeypatch):
     # At L=5, p=2 only the subset-counting form asks for lower index
     # L-p = 3, so skewing that value makes the two rewritings disagree.
     def skewed(x, k):
-        return binomial(x, k) + (k == 3)
+        return comb(x, k) + (k == 3)
 
-    monkeypatch.setattr(identities, "binomial", skewed)
+    monkeypatch.setattr(identities, "comb", skewed)
     with pytest.raises(RewritingMismatchError):
         inclusion_exclusion_sum(5, 2)
+
+
+def textbook_inclusion_exclusion(L: int, p: int) -> Fraction:
+    """The alternating sum term by term over exactnum.binomial; test-only."""
+    return sum(
+        (-1) ** i * binomial(L - i, p - i) * binomial(L - p, i) for i in range(p + 1)
+    )
+
+
+@given(L=st.integers(0, 60), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_inclusion_exclusion_matches_the_textbook_loop(L, data):
+    p = data.draw(st.integers(0, L))
+    # Integer L, given as an int or as an integral Fraction, never
+    # reaches the scalar binomial of the rational route.
+    with mock.patch.object(identities, "binomial", side_effect=AssertionError):
+        values = [inclusion_exclusion_sum(L, p), inclusion_exclusion_sum(Fraction(L), p)]
+        with pytest.raises(ValueError):
+            inclusion_exclusion_sum(L, L + 1 + data.draw(st.integers(0, 5)))
+    for value in values:
+        assert type(value) is Fraction
+        assert value == textbook_inclusion_exclusion(L, p)
 
 
 # -------------------------------------------------------------- offset shifts

@@ -1,17 +1,20 @@
 """The once-per-process memos of base series, series powers, the
-difference-formula bridge and the bijection's recursive steps and
-section rewrites: they recompute nothing, refuse floats even when warm,
-leave traces whole, and let an injected fault through to the verdict."""
+certificate polynomials, the difference-formula bridge and the
+bijection's recursive steps and section rewrites: they recompute
+nothing, refuse floats even when warm, leave traces whole, and let an
+injected fault through to the verdict."""
 
 from fractions import Fraction
 
 import pytest
 
-from binomconv import bijection, cli, identities, series, suites
+from binomconv import bijection, cli, exactnum, identities, series, suites
 
 MEMOS = (
     series._base,
     series._power,
+    series._certificate_summand,
+    series._certificate_multiplier,
     identities._difference_poly,
     identities._bridge_holds,
     bijection._phi_memo,
@@ -53,6 +56,20 @@ def test_floats_are_refused_after_the_memo_is_warm(cold_memos):
         series.coefficient_identity_check("gC", HALF, order=24.0)
 
 
+def test_suite_powers_and_certificate_indices_refuse_floats_when_warm(cold_memos):
+    g_cubed = series.series_pow(series.base_series("g", 32), 3)
+    assert series.base_power("g", 32, 3) == g_cubed
+    with pytest.raises(TypeError):
+        series.base_power("g", 32, 3.0)
+    with pytest.raises(ValueError):
+        series.base_power("g", 32.0, 3)
+    assert series.wz_certificate_check(2, 1)
+    with pytest.raises(exactnum.OutOfRangeError):
+        series.wz_certificate_check(2, 1.0)
+    with pytest.raises(exactnum.OutOfRangeError):
+        series.certificate_multiplier(2.0, 1)
+
+
 def test_a_perturbed_series_power_fails_the_series_checks(cold_memos, monkeypatch):
     exact = series.series_pow
 
@@ -92,6 +109,35 @@ def test_each_series_power_is_computed_once(cold_memos, monkeypatch):
     assert suites.derivative_identity_failures(32, 5) == []
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def test_each_series_power_of_the_series_suite_is_computed_once(
+    cold_memos, monkeypatch
+):
+    calls = count_calls(monkeypatch, series, "series_pow")
+    assert suites.run_cases("series", suites.series_suite(32)).all_passed
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_a_perturbed_binomial_fails_the_certificate_checks(cold_memos, monkeypatch):
+    exact = series.binomial
+    monkeypatch.setattr(series, "binomial", lambda x, k: exact(x, k) + (k == 2))
+    assert suites.wz_certificate_failures(4) != []
+    assert suites.telescoped_sum_failures(4) != []
+
+
+def test_certificate_memos_evict_nothing_at_the_default_bounds(cold_memos):
+    assert suites.run_cases("series", suites.series_suite()).all_passed
+    for memo in (series._certificate_summand, series._certificate_multiplier):
+        assert 0 < memo.cache_info().currsize < exactnum.MEMO_SIZE
+
+
+def test_each_offset_column_is_built_once_per_call(monkeypatch):
+    calls = count_calls(monkeypatch, identities, "_offset_column")
+    spec = identities.ConvolutionSpec(6, (Fraction(0),) * 5)
+    assert identities.convolution_sum(spec) == identities.closed_form(6, 5)
+    assert calls == [(Fraction(0), 6)]
 
 
 def test_each_difference_bridge_is_computed_once(cold_memos, monkeypatch):
