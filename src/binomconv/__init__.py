@@ -21,7 +21,7 @@ from .configuration import (
     to_subset_pair,
 )
 from .exactnum import Polynomial, Rational, binomial, falling_factorial
-from .identities import ConvolutionSpec, closed_form, convolution_sum
+from .identities import ConvolutionSpec, closed_form, convolution_sum, convolution_sums
 from .series import TruncatedSeries, base_series, series_pow
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "binomial",
     "closed_form",
     "convolution_sum",
+    "convolution_sums",
     "enumerate_ordered",
     "enumerate_tower_free",
     "falling_factorial",

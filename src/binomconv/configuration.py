@@ -340,6 +340,27 @@ def _block(width: int, subset: Iterable[int], chars: str) -> str:
     )
 
 
+def _blocks(width: int, chars: str) -> Iterator[str]:
+    """_block of every width-subset of the 2*width slots, in the order
+    of itertools.combinations.
+
+    A block is read as a base-4 number with one digit per column,
+    2*(top slot colored) + (bottom slot colored), so each slot adds a
+    fixed weight: 2*4^(width-k) for top slot k and 4^(width-k) for
+    bottom slot width+k.  The hex form of the sum spells two columns per
+    digit.  The sum starts from 4^width, so it has no leading zeros to
+    pad: that extra digit spells two characters for an even width and
+    one for an odd width (hex 4 + the first column's digit), which are
+    cut off.
+    """
+    weights = [2 * 4 ** (width - k) for k in range(1, width + 1)]
+    weights += [weight // 2 for weight in weights]
+    spell = str.maketrans({f"{d:x}": chars[d >> 2] + chars[d & 3] for d in range(16)})
+    lead, skip = 4**width, 2 - width % 2
+    for combination in itertools.combinations(weights, width):
+        yield format(sum(combination, lead), "x").translate(spell)[skip:]
+
+
 def _subset(block: str) -> frozenset[int]:
     """The colored slots of a one-color block, numbered as in _block."""
     width = len(block)
@@ -386,24 +407,19 @@ def enumerate_ordered(n: int) -> Iterator[Configuration]:
     """All ordered configurations of length n, in lexicographic order of
     (i, ones-subset, twos-subset).
 
-    For i >= 2 the right blocks of width n - i are built once per i and
-    shared by every left block.  The rows of i = 0 and i = 1 are the
-    widest and have one and two left blocks, so their right blocks are
-    made one at a time instead of held.
+    Blocks are spelled from base-4 sums (_blocks).  For i >= 2 the right
+    blocks of width n - i are built once per i and shared by every left
+    block.  The rows of i = 0 and i = 1 are the widest and have one and
+    two left blocks, so their right blocks are made one at a time
+    instead of held.
     """
     if n < 0:
         raise ConfigurationError("length must be nonnegative")
-
-    def right_blocks(j: int) -> Iterator[str]:
-        for twos in itertools.combinations(range(1, 2 * j + 1), j):
-            yield _block(j, twos, ".bB2")
-
     for i in range(n + 1):
         j = n - i
-        shared = list(right_blocks(j)) if i >= 2 else None
-        for ones in itertools.combinations(range(1, 2 * i + 1), i):
-            left = _block(i, ones, ".aA1")
-            for right in right_blocks(j) if shared is None else shared:
+        shared = list(_blocks(j, ".bB2")) if i >= 2 else None
+        for left in _blocks(i, ".aA1"):
+            for right in _blocks(j, ".bB2") if shared is None else shared:
                 yield _wrap(left + right)
 
 

@@ -22,7 +22,9 @@ depend on which cases ran before it.  Nothing else is memoized: closed
 forms, convolution sums and inclusion-exclusion sums are recomputed on
 every call.  For integer L the inclusion-exclusion sum runs both of its
 rewritings on math.comb, over plain integers, with no Fraction until
-the result.
+the result.  The truncated product behind a convolution sum of size n
+holds the sums of every size up to n, so convolution_sums returns a
+whole sweep over sizes from one product, not one product per size.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Union
+from typing import Iterable, Union
 
 from .exactnum import (
     MEMO_SIZE,
@@ -84,26 +86,53 @@ def _offset_column(offset: Fraction, n: int) -> tuple[list[int], int]:
     return tops, q**n * factorial(n)
 
 
-def convolution_sum(spec: ConvolutionSpec) -> Fraction:
-    """The t-fold convolution sum of offset central binomial columns.
+def _convolution_prefix(
+    offsets: tuple[Fraction, ...], n: int
+) -> tuple[list[int], int]:
+    """The convolution sums of sizes 0..n, as integers over one scale.
 
     Computed by iterated truncated sequence convolution rather than by
     enumerating compositions, so the cost is t*n^2 exact products.  Each
-    distinct offset's column is built once per call, directly as
-    integers over one scale (_offset_column, which never calls
-    exactnum.binomial, so closed_form stays a separate route), the
-    convolutions run over integers
-    (exactnum.integer_convolution), and the sum is divided by the
-    product of the column scales once, at the end.
+    distinct offset's column is built once, directly as integers over
+    one scale (_offset_column, which never calls exactnum.binomial, so
+    closed_form stays a separate route), the convolutions run over
+    integers (exactnum.integer_convolution), and the scale is the
+    product of the column scales.
     """
-    n = spec.n
-    columns = {offset: _offset_column(offset, n) for offset in set(spec.offsets)}
-    acc, scale = columns[spec.offsets[0]]
-    for offset in spec.offsets[1:]:
+    columns = {offset: _offset_column(offset, n) for offset in set(offsets)}
+    acc, scale = columns[offsets[0]]
+    for offset in offsets[1:]:
         col, col_scale = columns[offset]
         acc = integer_convolution(acc, col, n + 1)
         scale *= col_scale
-    return Fraction(acc[n], scale)
+    return acc, scale
+
+
+def convolution_sum(spec: ConvolutionSpec) -> Fraction:
+    """The t-fold convolution sum of offset central binomial columns,
+    at the single size spec.n.
+
+    Builds the whole truncated product up to spec.n and reads its last
+    entry; a sweep over sizes 0..N takes all of them from one product
+    through convolution_sums instead.
+    """
+    acc, scale = _convolution_prefix(spec.offsets, spec.n)
+    return Fraction(acc[spec.n], scale)
+
+
+def convolution_sums(offsets: Iterable[Scalar], n_max: int) -> list[Fraction]:
+    """The convolution sums S(0; offsets)..S(n_max; offsets), from one
+    truncated product.
+
+    Entry m of the product is S(m) over the same scale at every m (for
+    an offset p/q, q^n_max*n_max! per factor), so each entry is the
+    exact value convolution_sum gives at size m.  Validated as
+    ConvolutionSpec(n_max, offsets): a negative or non-integer n_max,
+    no offsets or a float offset is refused.
+    """
+    spec = ConvolutionSpec(n_max, tuple(offsets))
+    acc, scale = _convolution_prefix(spec.offsets, n_max)
+    return [Fraction(value, scale) for value in acc]
 
 
 def closed_form(n: int, t: Scalar) -> Fraction:
@@ -126,16 +155,17 @@ def odd_t_forms(n: int, L: int) -> bool:
 
 
 def recurrence_check(t: int, n: int) -> bool:
-    """Zero-offset sums satisfy S_{t+2}(n+1) = S_t(n+1) + 4*S_{t+2}(n)."""
+    """Zero-offset sums satisfy S_{t+2}(n+1) = S_t(n+1) + 4*S_{t+2}(n).
+
+    Both width-(t+2) sums come from one truncated product."""
     if not isinstance(t, int) or t < 1:
         raise ValueError("t must be a positive integer")
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
 
-    def s(width: int, size: int) -> Fraction:
-        return convolution_sum(ConvolutionSpec(size, (Fraction(0),) * width))
-
-    return s(t + 2, n + 1) == s(t, n + 1) + 4 * s(t + 2, n)
+    wide = convolution_sums((Fraction(0),) * (t + 2), n + 1)
+    narrow = convolution_sum(ConvolutionSpec(n + 1, (Fraction(0),) * t))
+    return wide[n + 1] == narrow + 4 * wide[n]
 
 
 PolyOrRational = Union[Polynomial, Fraction, int]

@@ -23,6 +23,8 @@ additivity cases reuse powers the identity checks take), so the base
 series g and C and their powers are computed once per process: _base
 and _power memoize them, keyed on the series kind, the order and the
 exact exponent, after the checks (or base_power) have validated those.
+The product g*C^b, which the derivative identities of g*C^l and C^l
+differentiate once for every n, is memoized the same way (_g_catalan).
 The certificate polynomials F(n, i) and G(n, i) are memoized too, each
 in its own memo keyed on the integers (n, i), so the two sides of the
 telescoping identity share no result.  A case's wall time can
@@ -357,6 +359,17 @@ def _power(kind: str, order: int, r: Fraction) -> TruncatedSeries:
     return series_pow(_base(kind, order), r)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _g_catalan(order: int, b: Fraction) -> TruncatedSeries:
+    """g*C^b from the memoized factors, multiplied once per exponent.
+
+    The gC variant of derivative_identity_check differentiates g*C^l
+    and the C variant differentiates g*C^(l+1), for every n; both read
+    the product here.  The key must already be exact, as for _power.
+    """
+    return _base("g", order) * _power("catalan", order, b)
+
+
 def base_power(kind: str, order: int, r: Scalar) -> TruncatedSeries:
     """series_pow(base_series(kind, order), r) for g or catalan, from
     the memo; order and r are validated before the lookup."""
@@ -392,6 +405,9 @@ def derivative_identity_check(
         l*g*C^(l+1).
 
     Inputs are computed at the given order and compared at order - n.
+    The product g*C^b is taken once per (order, b) from the _g_catalan
+    memo, so it is not rebuilt for every n; the gC right-hand side's
+    terms g^(1+2n-i)*C^(l+i) are multiplied afresh on every call.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -406,17 +422,11 @@ def derivative_identity_check(
         rhs = (_power("g", order, param + 2 * n) * scale).truncate(target)
         return lhs == rhs
     if variant == "C":
-        g = _base("g", order)
         lhs = nth_derivative(_power("catalan", order, param), n)
-        rhs = nth_derivative(
-            g * _power("catalan", order, param + 1) * param, n - 1
-        ).truncate(target)
+        rhs = nth_derivative(_g_catalan(order, param + 1) * param, n - 1).truncate(target)
         return lhs == rhs
     if variant == "gC":
-        g = _base("g", order)
-        lhs = nth_derivative(g * _power("catalan", order, param), n) * Fraction(
-            1, factorial(n)
-        )
+        lhs = nth_derivative(_g_catalan(order, param), n) * Fraction(1, factorial(n))
         total = TruncatedSeries.constant(0, order)
         for i in range(n + 1):
             scale = binomial(2 * n - i, n - i) * binomial(param + i - 1, i)

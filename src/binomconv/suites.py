@@ -296,15 +296,14 @@ SHIFT_PARAMETERS = (
 )
 
 
-def _zero_spec(n: int, t: int) -> identities.ConvolutionSpec:
-    return identities.ConvolutionSpec(n, (Fraction(0),) * t)
+def _zeros(t: int) -> tuple[Fraction, ...]:
+    return (Fraction(0),) * t
 
 
 def power_of_four_failures(n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
     failures = []
-    for n in range(n_max + 1):
-        value = identities.convolution_sum(_zero_spec(n, 2))
+    for n, value in enumerate(identities.convolution_sums(_zeros(2), n_max)):
         if value != Fraction(4) ** n:
             failures.append(f"n={n}: sum is {value}, not 4^{n}")
     return failures
@@ -313,9 +312,8 @@ def power_of_four_failures(n_max: int) -> list[str]:
 def enumeration_count_failures(n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
     failures = []
-    for n in range(n_max + 1):
+    for n, value in enumerate(identities.convolution_sums(_zeros(2), n_max)):
         total = sum(1 for _ in configuration.enumerate_ordered(n))
-        value = identities.convolution_sum(_zero_spec(n, 2))
         if value != total:
             failures.append(f"n={n}: sum {value} != {total} enumerated")
     return failures
@@ -326,8 +324,7 @@ def zero_offset_closed_form_failures(t_max: int, n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
     failures = []
     for t in range(1, t_max + 1):
-        for n in range(n_max + 1):
-            lhs = identities.convolution_sum(_zero_spec(n, t))
+        for n, lhs in enumerate(identities.convolution_sums(_zeros(t), n_max)):
             rhs = identities.closed_form(n, t)
             if lhs != rhs:
                 failures.append(f"t={t}, n={n}: {lhs} != {rhs}")
@@ -337,10 +334,8 @@ def zero_offset_closed_form_failures(t_max: int, n_max: int) -> list[str]:
 def reindexed_offset_pair_failures(n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
     failures = []
-    for n in range(n_max + 1):
-        value = identities.convolution_sum(
-            identities.ConvolutionSpec(n, (Fraction(1), Fraction(-1)))
-        )
+    offsets = (Fraction(1), Fraction(-1))
+    for n, value in enumerate(identities.convolution_sums(offsets, n_max)):
         if value != Fraction(4) ** n:
             failures.append(f"n={n}: offsets [1,-1] give {value}")
     return failures
@@ -455,6 +450,8 @@ def shift_invariance_failures(n_max: int) -> list[str]:
 
 def difference_formula_failures(n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
+    # Size 0 has no difference of order m >= 1, so n_max = 0 checks nothing.
+    _require_positive("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         for a in SHIFT_PARAMETERS:

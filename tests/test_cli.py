@@ -383,6 +383,7 @@ def test_polynomial_family_with_negative_bound_fails(family, bound):
              "L_max must be nonnegative"),
             (suites.derivative_identity_failures, {"order": 16, "n_max": 0},
              "n_max must be positive"),
+            (suites.difference_formula_failures, {"n_max": 0}, "n_max must be positive"),
         )
     ],
 )

@@ -1,5 +1,7 @@
 """Grid configurations, subset-pair encoding, enumeration, and formats."""
 
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -32,6 +34,7 @@ from binomconv.configuration import (
     to_subset_pair,
     tower,
 )
+from binomconv.configuration import _block, _blocks
 
 GOLDEN = ".A11.b2B2.."
 GOLDEN_IMAGE = "BbAbabBaAbA"
@@ -291,6 +294,40 @@ def test_enumerate_ordered_boundary_order():
     items = [str(c) for c in enumerate_ordered(2)]
     assert items[0] == "BB"
     assert items[-1] == "aa"
+
+
+@pytest.mark.parametrize("chars", [".aA1", ".bB2"])
+def test_base_four_blocks_spell_each_subset_like_block(chars):
+    for width in range(11):
+        subsets = itertools.combinations(range(1, 2 * width + 1), width)
+        expected = (_block(width, subset, chars) for subset in subsets)
+        sentinel = object()
+        for got, want in itertools.zip_longest(_blocks(width, chars), expected, fillvalue=sentinel):
+            assert got == want, width
+
+
+#: SHA-256 of enumerate_ordered(n), each configuration's text followed by
+#: a newline, as the set-based block builder produced them.
+ORDERED_DIGESTS = (
+    "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "d2009e32273a71fa91180ef103466d288907d4f5ecc4ad7102393011212ec972",
+    "43db4c2da87753793fa07aedecaa52a95ae7688664630940192c80af54316a8d",
+    "40ff2a02fe25b91af3a3afd87bdcf67bda192c1c280fbc92b0b948b4466a8518",
+    "88e2aca7076b76453ff712ab2d825d5a56ea7137fef207e73dc40cae0791ee93",
+    "1e444777d624a59c9596279111e658372622960bdebca905d0626cc70060a110",
+    "7af1cbe8ee1cdc1a03c167a70d49037cf67bedb7f3c1b1dfe71d2bd143b536fb",
+    "6a272e16891c5d3e3065ee4064bb8fc2be58ed82329fee665b616725bde3fa74",
+    "accc4bf5e1bd0c1a6eb5e1433f7cdfa419f2bdc47bdf81afe83270b8634d08b7",
+    "e715822b84e912f9ba932fda7b06cbf76c34938f2183be0d89487b2d27580de6",
+)
+
+
+@pytest.mark.parametrize("n", range(len(ORDERED_DIGESTS)))
+def test_enumerate_ordered_items_and_order_are_pinned(n):
+    digest = hashlib.sha256()
+    for config in enumerate_ordered(n):
+        digest.update(config.text.encode() + b"\n")
+    assert digest.hexdigest() == ORDERED_DIGESTS[n]
 
 
 def test_enumerate_tower_free_counts_and_order():

@@ -15,6 +15,7 @@ from binomconv.identities import (
     RewritingMismatchError,
     closed_form,
     convolution_sum,
+    convolution_sums,
     delta_formula_check,
     inclusion_exclusion_sum,
     odd_t_forms,
@@ -99,6 +100,47 @@ def test_convolution_sum_matches_composition_enumeration():
 def test_convolution_sum_matches_oracle_random(n, offsets):
     spec = ConvolutionSpec(n, tuple(offsets))
     assert convolution_sum(spec) == composition_oracle(spec)
+
+
+#: Offsets p/q with every denominator q from 1 to 6.
+small_denominator_offsets = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@given(
+    n_max=st.integers(0, 20),
+    offsets=st.lists(small_denominator_offsets, min_size=1, max_size=5),
+)
+@example(n_max=20, offsets=[Fraction(0)])
+@example(
+    n_max=20,
+    offsets=[Fraction(1, 6), Fraction(-5, 4), Fraction(2, 3), Fraction(7, 5), Fraction(-3, 2)],
+)
+@settings(max_examples=40, deadline=None)
+def test_convolution_sums_match_each_single_sum(n_max, offsets):
+    sums = convolution_sums(offsets, n_max)
+    assert len(sums) == n_max + 1
+    for m, value in enumerate(sums):
+        assert type(value) is Fraction
+        assert value == convolution_sum(ConvolutionSpec(m, tuple(offsets)))
+
+
+def test_convolution_sums_validation():
+    with pytest.raises(ValueError):
+        convolution_sums((Fraction(0),), -1)
+    with pytest.raises(ValueError):
+        convolution_sums((), 3)
+    with pytest.raises(TypeError):
+        convolution_sums((0.5, -0.5), 3)
+    with pytest.raises(ValueError):
+        convolution_sums((Fraction(0),), Fraction(3))
+    assert convolution_sums((0, 0), 0) == [1]
+
+
+def test_convolution_sums_never_call_the_closed_form_route():
+    with mock.patch.object(identities, "binomial", side_effect=AssertionError), \
+            mock.patch.object(identities, "closed_form", side_effect=AssertionError):
+        sums = convolution_sums((Fraction(1, 2), Fraction(-1, 2), Fraction(0)), 12)
+    assert sums == [closed_form(n, 3) for n in range(13)]
 
 
 @given(n=st.integers(0, 5), offsets=st.lists(rational_offsets, min_size=2, max_size=3))

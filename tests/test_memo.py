@@ -13,6 +13,7 @@ from binomconv import bijection, cli, exactnum, identities, series, suites
 MEMOS = (
     series._base,
     series._power,
+    series._g_catalan,
     series._certificate_summand,
     series._certificate_multiplier,
     identities._difference_poly,
@@ -83,6 +84,35 @@ def test_a_perturbed_series_power_fails_the_series_checks(cold_memos, monkeypatc
     assert not series.coefficient_identity_check("gC", HALF, order=24)
 
 
+def test_a_perturbed_catalan_power_fails_the_derivative_identities(
+    cold_memos, monkeypatch
+):
+    exact = series._power
+
+    def perturbed(kind, order, r):
+        power = exact(kind, order, r)
+        if kind != "catalan":
+            return power
+        coefficients = list(power.coefficients)
+        coefficients[5] += 1
+        return series.TruncatedSeries(coefficients)
+
+    # The g*C^b memo is cold, so it multiplies the perturbed powers.
+    monkeypatch.setattr(series, "_power", perturbed)
+    failures = suites.derivative_identity_failures(32, 3)
+    assert any(failure.startswith("gC,") for failure in failures)
+    assert any(failure.startswith("C,") for failure in failures)
+
+
+def test_each_g_catalan_product_is_built_once(cold_memos):
+    assert suites.run_cases("series", suites.series_suite()).all_passed
+    info = series._g_catalan.cache_info()
+    # Each check of the gC and C variants, at n = 1..5, reads one
+    # product; only the eight l and the five new l + 1 are built.
+    assert info.currsize == 13
+    assert info.hits == 2 * len(suites.SERIES_PARAMETERS) * 5 - 13
+
+
 def test_an_off_by_one_convolution_sum_fails_the_difference_formula(
     cold_memos, monkeypatch
 ):
@@ -138,6 +168,21 @@ def test_each_offset_column_is_built_once_per_call(monkeypatch):
     spec = identities.ConvolutionSpec(6, (Fraction(0),) * 5)
     assert identities.convolution_sum(spec) == identities.closed_form(6, 5)
     assert calls == [(Fraction(0), 6)]
+
+
+def test_each_sweep_builds_one_truncated_product_per_offset_vector(monkeypatch):
+    calls = count_calls(monkeypatch, identities, "_convolution_prefix")
+    zeros = (Fraction(0),) * 3
+    assert suites.power_of_four_failures(12) == []
+    assert suites.reindexed_offset_pair_failures(12) == []
+    assert suites.zero_offset_closed_form_failures(3, 12) == []
+    assert calls == [
+        (zeros[:2], 12),
+        ((Fraction(1), Fraction(-1)), 12),
+        (zeros[:1], 12),
+        (zeros[:2], 12),
+        (zeros, 12),
+    ]
 
 
 def test_each_difference_bridge_is_computed_once(cold_memos, monkeypatch):
