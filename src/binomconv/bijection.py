@@ -12,10 +12,14 @@ Descents are the bookkeeping device: the image of a configuration with
 m towers has exactly m descents, and every rewriting step here is
 reversible column by column.
 
-Both maps run on compact strings (alphabet .Aa1Bb2).  phi and
-phi_inverse validate their input once and then recurse on the private
-string-level steps; the public compress, expand, section and decoding
-functions wrap those same steps and check their own inputs.
+A configuration is stored as its compact string (alphabet .Aa1Bb2),
+and both maps run on those strings.  phi and phi_inverse validate their input once
+and then recurse on the private string-level steps; the public
+compress, expand, section and decoding functions wrap those same steps
+and check their own inputs.  Columns outside a configuration are
+compact characters too: phi_section_inverse takes a section's two
+skeleton columns as a string such as "1.", and decode_pairs reports a
+tower's color as its character, 1 or 2.
 
 Each section rewrite, and each recursive step of an untraced call, comes
 from a bounded memo of exactnum.MEMO_SIZE entries, so an exhaustive
@@ -39,8 +43,6 @@ from functools import lru_cache
 from .configuration import (
     ODD_CHARS,
     TOWER_CHARS,
-    Color,
-    Column,
     Configuration,
     NotOrderedError,
     _ORDERED_ONE,
@@ -354,7 +356,7 @@ def phi_section_forward(section: Configuration, variant: int) -> Configuration:
 
 
 def phi_section_inverse(
-    section: Configuration, variant: int, skeleton: tuple[Column, Column]
+    section: Configuration, variant: int, skeleton: str
 ) -> Configuration:
     """Rewind one descent run back to a section.
 
@@ -362,8 +364,9 @@ def phi_section_inverse(
     variant 1, color-Two columns followed by a single color-One column;
     under variant 2, a single color-Two column followed by color-One
     columns.  The skeleton supplies the section's end columns, which the
-    run itself does not encode.  The output is a column fragment and
-    need not be balanced on its own.
+    run itself does not encode, as a compact string of two tower or
+    empty columns (for example "1.").  The output is a column fragment
+    and need not be balanced on its own.
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
@@ -372,26 +375,30 @@ def phi_section_inverse(
         raise MalformedSectionError("a section has at least two columns")
     if not _only(text, ODD_CHARS):
         raise MalformedSectionError(f"{section} must consist of odd columns")
-    first, last = skeleton
-    return _wrap(_section_inverse(text, variant, Configuration((first, last)).text))
+    if len(skeleton) != 2 or not _only(skeleton, ".12"):
+        raise MalformedSectionError(
+            f"skeleton {skeleton!r} must be two tower or empty columns"
+        )
+    return _wrap(_section_inverse(text, variant, skeleton))
 
 
 def decode_pairs(
     image: Configuration,
-) -> tuple[list[tuple[int, Color, bool]], Configuration]:
+) -> tuple[list[tuple[int, str, bool]], Configuration]:
     """Read the descent bookkeeping of a tower-free configuration.
 
     Each descent at position k encodes a tower color (bottom row at k
     means color One) and an order bit (bottom row at k+1 means the
     tower preceded the empty).  Returns the list of
-    (position, color, tower_first) triples and the tower/empty pair
-    configuration they spell, one pair per descent.
+    (position, color, tower_first) triples, each color as its tower
+    character "1" or "2", and the tower/empty pair configuration they
+    spell, one pair per descent.
     """
     if not is_tower_free(image):
         raise NotTowerFreeError(f"{image} is not tower-free")
     descents = list(_DESCENT.finditer(image.text))
     return [
-        (match.start() + 1, Color.ONE if match[0][0] == "b" else Color.TWO, match[0][1] == "a")
+        (match.start() + 1, "1" if match[0][0] == "b" else "2", match[0][1] == "a")
         for match in descents
     ], _wrap("".join([_DESCENT_PAIR[match[0]] for match in descents]))
 

@@ -7,22 +7,21 @@ two kinds.  A configuration of length n is balanced when exactly n of
 its 2n slots are colored, which forces the tower count to equal the
 empty count.
 
-The module provides the column/configuration data model, the subset-pair
-encoding of ordered configurations, enumeration of the two families that
-the bijection connects, and the compact one-character-per-column string
-format alongside a two-row grid rendering.
-
-A configuration is stored as its compact string, and the analysis below
-scans that string.  Column objects are a view of it, looked up from a
-table; the underscore helpers on compact strings are shared with the
-bijection, which runs on the strings too.
+A configuration is stored as its compact string, one character of the
+alphabet .Aa1Bb2 per column: a dot for an empty column, A/a for a
+color-One slot in the top/bottom row, B/b for color Two, and 1/2 for a
+tower of that color.  The module provides the configuration type, the
+subset-pair encoding of ordered configurations, enumeration of the two
+families that the bijection connects, parsing and a two-row grid
+rendering.  The analysis scans the compact string; the underscore
+helpers on compact strings are shared with the bijection, which runs on
+the strings too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 
@@ -42,115 +41,9 @@ class NotOrderedError(ConfigurationError):
     """A configuration required to be ordered is not."""
 
 
-class Color(Enum):
-    ONE = 1
-    TWO = 2
-
-    def other(self) -> "Color":
-        return Color.TWO if self is Color.ONE else Color.ONE
-
-
-class Row(Enum):
-    TOP = 0
-    BOTTOM = 1
-
-    def other(self) -> "Row":
-        return Row.BOTTOM if self is Row.TOP else Row.TOP
-
-
-@dataclass(frozen=True, slots=True)
-class Column:
-    """One grid column; each row slot is either uncolored or colored.
-
-    Both slots colored means a tower, and towers are monochromatic: a
-    column never carries two distinct colors.
-    """
-
-    top: Color | None
-    bottom: Color | None
-
-    def __post_init__(self) -> None:
-        if self.top is not None and self.bottom is not None and self.top is not self.bottom:
-            raise ConfigurationError("a column cannot carry two distinct colors")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.top is None and self.bottom is None
-
-    @property
-    def is_tower(self) -> bool:
-        return self.top is not None and self.bottom is not None
-
-    @property
-    def is_odd(self) -> bool:
-        return (self.top is None) != (self.bottom is None)
-
-    @property
-    def colored_slots(self) -> int:
-        return (self.top is not None) + (self.bottom is not None)
-
-    @property
-    def color(self) -> Color | None:
-        """The column's color, or None for an empty column."""
-        return self.top if self.top is not None else self.bottom
-
-    @property
-    def row(self) -> Row | None:
-        """The occupied row of an odd column, None otherwise."""
-        if not self.is_odd:
-            return None
-        return Row.TOP if self.top is not None else Row.BOTTOM
-
-    def flipped(self) -> "Column":
-        """The odd column with its slot moved to the other row."""
-        if not self.is_odd:
-            raise ConfigurationError("only odd columns can flip rows")
-        return _COLUMNS[(self.bottom, self.top)]
-
-
-_COLUMNS: dict[tuple[Color | None, Color | None], Column] = {
-    (top, bottom): Column(top, bottom)
-    for top in (None, Color.ONE, Color.TWO)
-    for bottom in (None, Color.ONE, Color.TWO)
-    if top is None or bottom is None or top is bottom
-}
-
-EMPTY = _COLUMNS[(None, None)]
-
-
-def empty_column() -> Column:
-    return EMPTY
-
-
-def tower(color: Color) -> Column:
-    return _COLUMNS[(color, color)]
-
-
-def odd(row: Row, color: Color) -> Column:
-    if row is Row.TOP:
-        return _COLUMNS[(color, None)]
-    return _COLUMNS[(None, color)]
-
-
-def column_of(top: Color | None, bottom: Color | None) -> Column:
-    return _COLUMNS[(top, bottom)]
-
-
-_CHAR_TO_COLUMN = {
-    ".": EMPTY,
-    "A": odd(Row.TOP, Color.ONE),
-    "a": odd(Row.BOTTOM, Color.ONE),
-    "1": tower(Color.ONE),
-    "B": odd(Row.TOP, Color.TWO),
-    "b": odd(Row.BOTTOM, Color.TWO),
-    "2": tower(Color.TWO),
-}
-
-_COLUMN_TO_CHAR = {column: char for char, column in _CHAR_TO_COLUMN.items()}
-
-#: The compact alphabet, and its characters by column kind, color and
-#: occupied row.
-ALPHABET = "".join(_CHAR_TO_COLUMN)
+#: The compact alphabet, one character per column kind, color and
+#: occupied row, and its characters by column kind and color.
+ALPHABET = ".Aa1Bb2"
 ODD_CHARS = "AaBb"
 TOWER_CHARS = "12"
 ONE_CHARS = "Aa1"
@@ -161,10 +54,6 @@ _ORDERED_ONE = "." + ONE_CHARS
 _ORDERED_TWO = "." + TWO_CHARS
 _TOP_CHARS = "A1B2"
 _BOTTOM_CHARS = "a1b2"
-
-#: The four odd columns in compact-alphabet order, used as the canonical
-#: enumeration order for tower-free configurations.
-ODD_COLUMNS = tuple(_CHAR_TO_COLUMN[char] for char in ODD_CHARS)
 
 
 def _only(text: str, chars: str) -> bool:
@@ -193,45 +82,35 @@ def _is_ordered(text: str) -> bool:
 
 
 class Configuration:
-    """An immutable sequence of columns, stored as its compact string.
+    """An immutable configuration, stored as its compact string.
 
-    text holds one character of the alphabet .Aa1Bb2 per column, and
-    columns is a view of it as interned Column objects.  Balance
-    (colored slots == column count) is deliberately not checked at
-    construction: the bijection's bookkeeping builds short column
-    fragments that are not balanced on their own.  Parsing and the
-    subset-pair constructor return balanced configurations, and
-    validate() checks balance on demand.
+    text holds one character of the alphabet .Aa1Bb2 per column; the
+    constructor checks the alphabet and nothing else.  Balance (colored
+    slots == column count) is deliberately not checked at construction:
+    the bijection's bookkeeping builds short column fragments that are
+    not balanced on their own.  Parsing and the subset-pair constructor
+    return balanced configurations, and validate() checks balance on
+    demand.
     """
 
     __slots__ = ("text",)
 
     text: str
 
-    def __init__(self, columns: Iterable[Column] = ()):
-        try:
-            text = "".join([_COLUMN_TO_CHAR[column] for column in columns])
-        except KeyError as error:
-            raise ConfigurationError(f"{error.args[0]!r} is not a column") from None
+    def __init__(self, text: str):
+        if not _only(text, ALPHABET):
+            for position, char in enumerate(text, start=1):
+                if char not in ALPHABET:
+                    raise BadCharacterError(
+                        f"character {char!r} at position {position} is not in the alphabet {ALPHABET}"
+                    )
         object.__setattr__(self, "text", text)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Configuration is immutable")
 
-    @property
-    def columns(self) -> tuple[Column, ...]:
-        return tuple(map(_CHAR_TO_COLUMN.__getitem__, self.text))
-
     def __len__(self) -> int:
         return len(self.text)
-
-    def __iter__(self) -> Iterator[Column]:
-        return map(_CHAR_TO_COLUMN.__getitem__, self.text)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(_CHAR_TO_COLUMN.__getitem__, self.text[index]))
-        return _CHAR_TO_COLUMN[self.text[index]]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Configuration):
@@ -434,13 +313,7 @@ def enumerate_tower_free(n: int) -> Iterator[Configuration]:
 
 def parse_compact(text: str) -> Configuration:
     """Parse the one-character-per-column format and validate balance."""
-    if not _only(text, ALPHABET):
-        for position, char in enumerate(text, start=1):
-            if char not in ALPHABET:
-                raise BadCharacterError(
-                    f"character {char!r} at position {position} is not in the alphabet .Aa1Bb2"
-                )
-    return _wrap(text).validate()
+    return Configuration(text).validate()
 
 
 #: Grid rows: O for a color-One slot, X for color Two, a dot for none.

@@ -385,8 +385,8 @@ def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int) -> l
     failures = []
     for _ in range(samples):
         L = _random_rational(rng)
-        for n in range(n_max + 1):
-            if not identities.opposite_offsets_check(n, L):
+        for n, value in enumerate(identities.convolution_sums((-L, L), n_max)):
+            if value != Fraction(4) ** n:
                 failures.append(f"n={n}, L={L}")
     return failures
 

@@ -28,20 +28,15 @@ from binomconv.bijection import (
     tower_configuration,
 )
 from binomconv.configuration import (
-    EMPTY,
-    Color,
     Configuration,
     InvalidSlotCountError,
     NotOrderedError,
-    Row,
     analyze,
     enumerate_ordered,
     enumerate_tower_free,
     from_subset_pair,
     is_tower_free,
-    odd,
     parse_compact,
-    tower,
 )
 
 GOLDEN = ".A11.b2B2.."
@@ -80,41 +75,24 @@ def test_compress_rejects_mixed_tower_pair():
 
 
 def test_compress_rejects_odd_column_count():
-    fragment = Configuration((tower(Color.ONE), EMPTY, EMPTY))
+    fragment = Configuration("1..")
     with pytest.raises(BijectionError):
         compress(fragment)
 
 
 def test_compress_expand_is_identity_everywhere():
     # compress(expand(c)) == c for every configuration, odd columns included.
-    columns = [
-        EMPTY,
-        tower(Color.ONE),
-        tower(Color.TWO),
-        odd(Row.TOP, Color.ONE),
-        odd(Row.BOTTOM, Color.ONE),
-        odd(Row.TOP, Color.TWO),
-        odd(Row.BOTTOM, Color.TWO),
-    ]
     for length in range(4):
-        for cols in itertools.product(columns, repeat=length):
-            c = Configuration(cols)
+        for cols in itertools.product(".12AaBb", repeat=length):
+            c = Configuration("".join(cols))
             assert compress(expand(c)) == c
 
 
 def test_expand_compress_is_identity_on_unmixed_pairs():
-    pairs = [
-        (tower(Color.ONE), EMPTY),
-        (EMPTY, tower(Color.ONE)),
-        (tower(Color.TWO), EMPTY),
-        (EMPTY, tower(Color.TWO)),
-        (tower(Color.ONE), tower(Color.ONE)),
-        (tower(Color.TWO), tower(Color.TWO)),
-        (EMPTY, EMPTY),
-    ]
+    pairs = ["1.", ".1", "2.", ".2", "11", "22", ".."]
     for length in range(4):
         for chosen in itertools.product(pairs, repeat=length):
-            c = Configuration([col for pair in chosen for col in pair])
+            c = Configuration("".join(chosen))
             assert expand(compress(c)) == c
 
 
@@ -142,21 +120,20 @@ def test_section_forward_golden():
 
 def test_section_inverse_golden():
     for section, variant, image in SECTION_FORWARD_GOLDEN:
-        cols = parse_compact(section).columns
         rebuilt = phi_section_inverse(
-            parse_compact(image), variant, (cols[0], cols[-1])
+            parse_compact(image), variant, section[0] + section[-1]
         )
         assert str(rebuilt) == section
 
 
 def test_section_forward_rejects_bad_shapes():
     with pytest.raises(MalformedSectionError):
-        phi_section_forward(Configuration((tower(Color.ONE), tower(Color.ONE))), 1)
+        phi_section_forward(Configuration("11"), 1)
     with pytest.raises(MalformedSectionError):
-        phi_section_forward(Configuration((EMPTY, EMPTY)), 1)
+        phi_section_forward(Configuration(".."), 1)
     with pytest.raises(MalformedSectionError):
-        phi_section_forward(Configuration((tower(Color.ONE),)), 1)
-    interior_not_odd = Configuration((tower(Color.ONE), EMPTY, EMPTY))
+        phi_section_forward(Configuration("1"), 1)
+    interior_not_odd = Configuration("1..")
     with pytest.raises(MalformedSectionError):
         phi_section_forward(interior_not_odd, 2)
     with pytest.raises(ValueError):
@@ -164,7 +141,7 @@ def test_section_forward_rejects_bad_shapes():
 
 
 def test_section_inverse_rejects_bad_shapes():
-    ends = (tower(Color.ONE), EMPTY)
+    ends = "1."
     with pytest.raises(MalformedSectionError):
         phi_section_inverse(parse_compact("AB"), 1, ends)  # One before the end
     with pytest.raises(MalformedSectionError):
@@ -174,9 +151,12 @@ def test_section_inverse_rejects_bad_shapes():
     with pytest.raises(MalformedSectionError):
         phi_section_inverse(parse_compact("1."), 1, ends)  # not odd columns
     with pytest.raises(MalformedSectionError):
-        phi_section_inverse(Configuration((odd(Row.TOP, Color.ONE),)), 1, ends)
+        phi_section_inverse(Configuration("A"), 1, ends)
     with pytest.raises(ValueError):
         phi_section_inverse(parse_compact("ba"), 0, ends)
+    for skeleton in ("1", "1..", "1A", "1x"):
+        with pytest.raises(MalformedSectionError):
+            phi_section_inverse(parse_compact("ba"), 1, skeleton)
 
 
 def test_section_round_trip_exhaustive():
@@ -185,21 +165,16 @@ def test_section_round_trip_exhaustive():
     Variant 1 sections carry color-One interiors, variant 2 color-Two,
     matching where each variant is applied.
     """
-    for variant, interior_color in ((1, Color.ONE), (2, Color.TWO)):
-        for tower_first in (True, False):
-            for color in (Color.ONE, Color.TWO):
-                for size in range(0, 4):
-                    for rows in itertools.product((Row.TOP, Row.BOTTOM), repeat=size):
-                        interior = [odd(row, interior_color) for row in rows]
-                        ends = (tower(color), EMPTY)
-                        if not tower_first:
-                            ends = (EMPTY, tower(color))
-                        section = Configuration([ends[0], *interior, ends[1]])
-                        image = phi_section_forward(section, variant)
-                        assert is_tower_free(image)
-                        assert len(image) == len(section)
-                        rebuilt = phi_section_inverse(image, variant, ends)
-                        assert rebuilt == section
+    for variant, interior_chars in ((1, "Aa"), (2, "Bb")):
+        for ends in ("1.", ".1", "2.", ".2"):
+            for size in range(0, 4):
+                for interior in itertools.product(interior_chars, repeat=size):
+                    section = Configuration(ends[0] + "".join(interior) + ends[1])
+                    image = phi_section_forward(section, variant)
+                    assert is_tower_free(image)
+                    assert len(image) == len(section)
+                    rebuilt = phi_section_inverse(image, variant, ends)
+                    assert rebuilt == section
 
 
 def test_section_runs_round_trip_exhaustive():
@@ -211,21 +186,18 @@ def test_section_runs_round_trip_exhaustive():
     """
     for variant in (1, 2):
         for size in range(2, 6):
-            for rows in itertools.product((Row.TOP, Row.BOTTOM), repeat=size):
+            for bottom in itertools.product((False, True), repeat=size):
                 if variant == 1:
-                    colors = [Color.TWO] * (size - 1) + [Color.ONE]
-                    descent_left, descent_right = rows[-2], rows[-1]
+                    colors = "B" * (size - 1) + "A"
+                    descent = size - 2
                 else:
-                    colors = [Color.TWO] + [Color.ONE] * (size - 1)
-                    descent_left, descent_right = rows[0], rows[1]
+                    colors = "B" + "A" * (size - 1)
+                    descent = 0
                 run = Configuration(
-                    odd(row, color) for row, color in zip(rows, colors)
+                    "".join(c.lower() if low else c for c, low in zip(colors, bottom))
                 )
-                color = Color.ONE if descent_left is Row.BOTTOM else Color.TWO
-                if descent_right is Row.BOTTOM:
-                    ends = (tower(color), EMPTY)
-                else:
-                    ends = (EMPTY, tower(color))
+                tower_char = "1" if bottom[descent] else "2"
+                ends = tower_char + "." if bottom[descent + 1] else "." + tower_char
                 section = phi_section_inverse(run, variant, ends)
                 assert phi_section_forward(section, variant) == run
 
@@ -236,10 +208,10 @@ def test_section_runs_round_trip_exhaustive():
 def test_decode_pairs_golden():
     pairs, seed = decode_pairs(parse_compact(GOLDEN_IMAGE))
     assert [(pos, color, tower_first) for pos, color, tower_first in pairs] == [
-        (2, Color.ONE, False),
-        (4, Color.ONE, True),
-        (7, Color.TWO, True),
-        (10, Color.ONE, False),
+        (2, "1", False),
+        (4, "1", True),
+        (7, "2", True),
+        (10, "1", False),
     ]
     assert str(seed) == ".11.2..1"
 
@@ -284,12 +256,12 @@ def test_phi_requires_ordered_input():
 
 def test_phi_requires_balance():
     with pytest.raises(InvalidSlotCountError):
-        phi(Configuration((tower(Color.ONE),)))
+        phi(Configuration("1"))
 
 
 def test_phi_error_messages_are_pinned():
     with pytest.raises(InvalidSlotCountError) as error:
-        phi(Configuration((tower(Color.ONE),)))
+        phi(Configuration("1"))
     assert str(error.value) == "2 colored slots in 1 columns"
     with pytest.raises(NotOrderedError) as error:
         phi(parse_compact("BA"))

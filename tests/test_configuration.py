@@ -9,76 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomconv.configuration import (
-    EMPTY,
-    ODD_COLUMNS,
     BadCharacterError,
-    Color,
-    Column,
     Configuration,
     ConfigurationError,
     InvalidSlotCountError,
     NotOrderedError,
-    Row,
     analyze,
-    column_of,
     descents,
-    empty_column,
     enumerate_ordered,
     enumerate_tower_free,
     from_subset_pair,
     is_ordered,
     is_tower_free,
-    odd,
     parse_compact,
     render,
     to_subset_pair,
-    tower,
 )
 from binomconv.configuration import _block, _blocks
 
 GOLDEN = ".A11.b2B2.."
 GOLDEN_IMAGE = "BbAbabBaAbA"
-
-
-# --------------------------------------------------------------------- column
-
-
-def test_column_kinds():
-    assert EMPTY.is_empty and not EMPTY.is_tower and not EMPTY.is_odd
-    assert tower(Color.ONE).is_tower and tower(Color.ONE).colored_slots == 2
-    assert odd(Row.TOP, Color.TWO).is_odd
-    assert odd(Row.TOP, Color.TWO).row is Row.TOP
-    assert odd(Row.BOTTOM, Color.ONE).color is Color.ONE
-    assert EMPTY.color is None and EMPTY.row is None
-    assert tower(Color.TWO).row is None
-
-
-def test_column_rejects_two_distinct_colors():
-    with pytest.raises(ConfigurationError):
-        Column(Color.ONE, Color.TWO)
-
-
-def test_column_flip():
-    a = odd(Row.BOTTOM, Color.ONE)
-    assert a.flipped() == odd(Row.TOP, Color.ONE)
-    assert a.flipped().flipped() == a
-    with pytest.raises(ConfigurationError):
-        tower(Color.ONE).flipped()
-    with pytest.raises(ConfigurationError):
-        EMPTY.flipped()
-
-
-def test_column_factories_agree():
-    assert empty_column() is EMPTY
-    assert column_of(Color.ONE, Color.ONE) == tower(Color.ONE)
-    assert column_of(None, Color.TWO) == odd(Row.BOTTOM, Color.TWO)
-    assert column_of(None, None) is EMPTY
-
-
-def test_enum_other():
-    assert Color.ONE.other() is Color.TWO
-    assert Color.TWO.other() is Color.ONE
-    assert Row.TOP.other() is Row.BOTTOM
 
 
 # -------------------------------------------------------------- configuration
@@ -87,25 +37,18 @@ def test_enum_other():
 def test_configuration_is_immutable():
     c = parse_compact("1.")
     with pytest.raises(AttributeError):
-        c.columns = ()
+        c.text = ".1"
 
 
 def test_configuration_sequence_protocol():
     c = parse_compact(GOLDEN)
     assert len(c) == 11
-    assert c[0] is EMPTY
-    assert c[2] == tower(Color.ONE)
-    assert list(c)[5] == odd(Row.BOTTOM, Color.TWO)
-    assert c[2:4] == (tower(Color.ONE), tower(Color.ONE))
 
 
 def test_configuration_stores_compact_text():
     c = parse_compact(GOLDEN)
     assert c.text == GOLDEN
-    assert all(a is b for a, b in zip(c.columns, Configuration(c.columns).columns))
-    assert Configuration(c.columns).text == GOLDEN
-    with pytest.raises(ConfigurationError):
-        Configuration(["A"])
+    assert Configuration(GOLDEN) == c
 
 
 def test_configuration_equality_and_hash():
@@ -116,7 +59,7 @@ def test_configuration_equality_and_hash():
 
 
 def test_unbalanced_fragments_construct_but_fail_validate():
-    fragment = Configuration((tower(Color.ONE),))
+    fragment = Configuration("1")
     assert not fragment.is_balanced
     assert fragment.colored_slots == 2
     with pytest.raises(InvalidSlotCountError):
@@ -135,6 +78,18 @@ def test_parse_golden():
 def test_parse_render_round_trip():
     for text in ("", "AB", "1.", ".1", "aA2.", GOLDEN, GOLDEN_IMAGE):
         assert render(parse_compact(text)) == text
+
+
+def test_constructor_checks_the_alphabet_and_not_balance():
+    with pytest.raises(BadCharacterError) as error:
+        Configuration("1.x")
+    with pytest.raises(BadCharacterError) as parsed:
+        parse_compact("1.x")
+    assert str(error.value) == str(parsed.value)
+    assert str(error.value) == "character 'x' at position 3 is not in the alphabet .Aa1Bb2"
+    fragment = Configuration("1.1")
+    assert not fragment.is_balanced
+    assert str(fragment) == "1.1"
 
 
 def test_parse_rejects_bad_characters():
@@ -347,12 +302,3 @@ def test_enumerate_rejects_negative_length():
         list(enumerate_ordered(-1))
     with pytest.raises(ConfigurationError):
         list(enumerate_tower_free(-1))
-
-
-def test_odd_columns_constant_matches_alphabet():
-    assert tuple(render(Configuration((c,))) for c in ODD_COLUMNS) == (
-        "A",
-        "a",
-        "B",
-        "b",
-    )

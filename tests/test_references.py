@@ -1,0 +1,59 @@
+"""Names and examples that files outside the package rely on: the
+benchmark tracer's targets and README's library example."""
+
+import ast
+import importlib
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracer_targets() -> tuple:
+    """The TARGETS tuple of perfbench/tracer.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_resolves():
+    targets = _tracer_targets()
+    assert targets
+    missing = []
+    for name, module_name, path, _kind in targets:
+        obj = importlib.import_module(module_name)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{name}: {module_name}.{path}")
+    assert missing == []
+
+
+def _readme_block(heading: str) -> str:
+    """The first python code block under a README heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index(f"\n{heading}\n") :]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start : section.index("```", start)]
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    block = _readme_block("## Library")
+    namespace: dict = {}
+    results = {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            results[source] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert repr(namespace["image"]) == "Configuration('BbAbabBaAbA')"
+    assert repr(results["convolution_sum(ConvolutionSpec(2, (0, 0)))"]) == "Fraction(16, 1)"
+    assert results["convolution_sum(ConvolutionSpec(1, (Fraction(-3, 2), Fraction(3, 2))))"] == 4
+    sizes = results["convolution_sums((0, 0), 3)"]
+    assert sizes == [1, 4, 16, 64]
+    assert all(type(value) is Fraction for value in sizes)
+    assert repr(results["closed_form(2, 3)"]) == "Fraction(30, 1)"
