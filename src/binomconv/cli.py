@@ -5,7 +5,8 @@ configuration), render (re-serialize a configuration), enumerate (list
 a configuration family), and verify (run the verification suites and
 emit a text or JSON report).  verify runs the cases in order, in one
 process; a bound flag left out takes its value from
-suites.DEFAULT_BOUNDS.
+suites.DEFAULT_BOUNDS, and a bound flag that no selected suite takes is
+a usage error.
 
 Exit codes: 0 on success, 1 when a verification case fails, 2 for
 usage, parse, domain or output errors (a reader that closes the pipe
@@ -146,6 +147,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     selected = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    taken = {key for name in selected for key in suites.DEFAULT_BOUNDS[name]}
+    for bounds in suites.DEFAULT_BOUNDS.values():
+        for key in bounds:
+            if key not in taken and getattr(args, key) is not None:
+                flag = "--" + key.replace("_", "-")
+                return _fail(f"the {args.suite} suite takes no {flag}")
     try:
         cases = []
         for name in selected:

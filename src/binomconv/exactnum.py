@@ -4,9 +4,13 @@ Rationals, dense univariate polynomials over the rationals, falling
 factorials, generalized binomial coefficients, and forward finite
 differences.  Everything here is exact; floats never appear.
 
-A Polynomial is stored as a tuple of integer numerators over one
-positive denominator, in lowest terms, and its arithmetic runs over
-integers: sums over the lcm of the denominators, products through
+The storage format is stated once, in _IntegerForm: a tuple of
+integer numerators over one positive denominator, in lowest terms.
+Polynomial and series.TruncatedSeries both subclass it.  The core owns
+validation, coefficients, sums over the lcm of the denominators,
+negation, scalar products and equality; each subclass names its normal
+form (a Polynomial drops trailing zeros, a series keeps them) and adds
+only what differs.  Polynomial products run through
 integer_convolution, evaluation and Taylor shifts by Horner in the
 numerator and denominator of the point.  The polynomial falling
 factorial and binomial multiply one integer numerator list by each
@@ -15,8 +19,12 @@ integers too and build one Fraction per result.  A Fraction is built
 only where a rational is read: a scalar result, a polynomial's value,
 or its coefficients.  integer_convolution is the one integer Cauchy
 product loop; series products and convolution sums use it too.
+over_factorial_scales brings integers over n!*scale^n to one
+denominator; the series recurrences and the offset columns of the
+convolution sums both use it; no check compares an offset column with
+a series, so that sharing makes no cross-check a tautology.
 Convolution sums build their offset columns as integers without
-binomial, so this loop is all they share with identities.closed_form.
+binomial, so they share no arithmetic with identities.closed_form.
 """
 
 from __future__ import annotations
@@ -75,42 +83,139 @@ def integer_convolution(a: Sequence[int], b: Sequence[int], length: int) -> list
     ]
 
 
-class Polynomial:
-    """Dense univariate polynomial with rational coefficients.
+def over_factorial_scales(numerators: Sequence[int], scale: int) -> tuple[list[int], int]:
+    """numerators[n]/(n!*scale^n) for n = 0..N, brought to the one
+    denominator N!*scale^N: the lifted numerators and that denominator."""
+    order = len(numerators) - 1
+    lifted = list(numerators)
+    lift = 1  # N!/n! * scale^(N-n)
+    for n in range(order, -1, -1):
+        lifted[n] *= lift
+        lift *= n * scale
+    return lifted, factorial(order) * scale**order
 
-    Stored as integer numerators over one denominator: _num is a tuple
-    of integers, lowest degree first with no trailing zeros, and _den a
-    positive integer with gcd(_den, *_num) == 1.  The zero polynomial is
-    ((), 1) and has degree -inf.  The form is canonical, so equal
-    polynomials always compare and hash equal.  Coefficients are read as
-    Fractions, built on demand.
+
+def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den with the common factor of den and all numerators divided
+    out."""
+    common = gcd(den, *num)
+    if common == 1:
+        return tuple(num), den
+    return tuple(c // common for c in num), den // common
+
+
+class _IntegerForm:
+    """A sequence of exact rationals stored as integer numerators over
+    one denominator: _num is a tuple of integers and _den a positive
+    integer with gcd(_den, *_num) == 1.  The form is canonical, so equal
+    values always compare equal, and it is never changed after it is
+    built, so memos can share it.  Coefficients are read as Fractions,
+    built on demand.
 
     The public constructor is the only place that validates
-    coefficients; every operation here builds its result over integers
-    through _from_integers.
+    coefficients; every operation builds its result over integers
+    through _from_integers, which brings it to the class's normal form
+    (_normal).  Sums run over the lcm of the denominators.  Equality
+    holds only between instances of the same class, so a Polynomial
+    never equals a TruncatedSeries with the same numerators.
     """
 
     __slots__ = ("_num", "_den")
 
+    #: The normal form: lowest terms, with trailing zeros kept.
+    _normal = staticmethod(_lowest_terms)
+
     def __init__(self, coefficients: Iterable[Scalar] = ()):
         num, den = scaled_to_integers([exact_rational(c) for c in coefficients])
-        self._num, self._den = _lowest_terms(num, den)
+        self._num, self._den = self._normal(num, den)
 
     @classmethod
-    def _from_integers(cls, num: Sequence[int], den: int) -> "Polynomial":
-        """The polynomial with numerators num over den > 0, unvalidated."""
-        poly = object.__new__(cls)
-        poly._num, poly._den = _lowest_terms(num, den)
-        return poly
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
-        return cls((value,))
+    def _from_integers(cls, num: Sequence[int], den: int):
+        """The instance with numerators num over den > 0, unvalidated."""
+        form = object.__new__(cls)
+        form._num, form._den = cls._normal(num, den)
+        return form
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(c, den) for c in self._num)
+
+    def _check_operand(self, other: "_IntegerForm") -> None:
+        """Refuse an operand of this class that cannot be combined."""
+
+    def _operand(self, other: object) -> tuple[Sequence[int], int] | None:
+        """The numerators and denominator of a scalar or of an instance
+        of this class; None for anything else."""
+        if isinstance(other, (int, Fraction)):
+            return (other.numerator,), other.denominator
+        if type(other) is type(self):
+            self._check_operand(other)
+            return other._num, other._den
+        return None
+
+    def _plus(self, num: Sequence[int], den: int, sign: int):
+        """self + sign*(num/den), over the lcm of the two denominators."""
+        common = lcm(self._den, den)
+        scale, other_scale = common // self._den, sign * (common // den)
+        return self._from_integers(
+            [c * scale + d * other_scale for c, d in zip_longest(self._num, num, fillvalue=0)],
+            common,
+        )
+
+    def __add__(self, other: object):
+        operand = self._operand(other)
+        return NotImplemented if operand is None else self._plus(*operand, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object):
+        operand = self._operand(other)
+        return NotImplemented if operand is None else self._plus(*operand, -1)
+
+    def __rsub__(self, other: object):
+        operand = self._operand(other)
+        return NotImplemented if operand is None else (-self)._plus(*operand, 1)
+
+    def __neg__(self):
+        return self._from_integers([-c for c in self._num], self._den)
+
+    def _scaled(self, other: object):
+        """self times a scalar; NotImplemented for anything else."""
+        if isinstance(other, (int, Fraction)):
+            return self._from_integers(
+                [c * other.numerator for c in self._num], self._den * other.denominator
+            )
+        return NotImplemented
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._num == other._num and self._den == other._den
+        return NotImplemented
+
+
+class Polynomial(_IntegerForm):
+    """Dense univariate polynomial with rational coefficients.
+
+    The integer form of _IntegerForm, lowest degree first, with no
+    trailing zeros: the zero polynomial is ((), 1) and has degree -inf,
+    and equal polynomials always compare and hash equal.  A constant
+    polynomial also equals, and hashes as, its scalar value.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _normal(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+        """num/den without trailing zeros, in lowest terms."""
+        end = len(num)
+        while end and not num[end - 1]:
+            end -= 1
+        return _lowest_terms(num[:end], den)
+
+    @classmethod
+    def constant(cls, value: Scalar) -> "Polynomial":
+        return cls((value,))
 
     @property
     def degree(self) -> float:
@@ -142,40 +247,13 @@ class Polynomial:
             scale *= q
         return Fraction(value, self._den * (scale // q))
 
-    def __add__(self, other: object) -> "Polynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _combine(self, other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._from_integers([-c for c in self._num], self._den)
-
-    def __sub__(self, other: object) -> "Polynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _combine(self, other, -1)
-
-    def __rsub__(self, other: object) -> "Polynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _combine(other, self, -1)
-
     def __mul__(self, other: object) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial._from_integers(
-                [c * other.numerator for c in self._num], self._den * other.denominator
-            )
         if isinstance(other, Polynomial):
             a, b = self._num, other._num
             return Polynomial._from_integers(
                 integer_convolution(a, b, len(a) + len(b) - 1), self._den * other._den
             )
-        return NotImplemented
+        return self._scaled(other)
 
     __rmul__ = __mul__
 
@@ -209,11 +287,9 @@ class Polynomial:
         return Polynomial._from_integers(out, self._den * (scale // q))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self.is_constant and self.constant_value() == other
-        return NotImplemented
+        return _IntegerForm.__eq__(self, other)
 
     def __hash__(self) -> int:
         if self.is_constant:
@@ -246,36 +322,6 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def _lowest_terms(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """num/den without trailing zeros and with the common factor of den
-    and all numerators divided out."""
-    end = len(num)
-    while end and not num[end - 1]:
-        end -= 1
-    common = gcd(den, *num[:end])
-    if common == 1:
-        return tuple(num[:end]), den
-    return tuple(c // common for c in num[:end]), den // common
-
-
-def _coerce(value: object) -> Polynomial | None:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial._from_integers((value.numerator,), value.denominator)
-    return None
-
-
-def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
-    """a + sign*b, over the lcm of the two denominators."""
-    den = lcm(a._den, b._den)
-    scale_a, scale_b = den // a._den, sign * (den // b._den)
-    return Polynomial._from_integers(
-        [c * scale_a + d * scale_b for c, d in zip_longest(a._num, b._num, fillvalue=0)],
-        den,
-    )
 
 
 #: The polynomial variable.

@@ -45,6 +45,7 @@ from .exactnum import (
     falling_factorial,
     finite_difference,
     integer_convolution,
+    over_factorial_scales,
 )
 
 
@@ -73,17 +74,14 @@ def _offset_column(offset: Fraction, n: int) -> tuple[list[int], int]:
 
     For offset = p/q, entry m is the product of (2m - j)q + p over
     j < m, divided by q^m*m!.  For q = 1 that division is exact and the
-    scale is 1; otherwise every entry is brought to the scale q^n*n!.
+    scale is 1; otherwise exactnum.over_factorial_scales brings every
+    entry to the scale q^n*n!.
     """
     p, q = offset.numerator, offset.denominator
     tops = [prod(range(2 * m * q + p, m * q + p, -q)) for m in range(n + 1)]
     if q == 1:
         return [top // factorial(m) for m, top in enumerate(tops)], 1
-    lift = 1  # q^(n-m)*n!/m!
-    for m in range(n, -1, -1):
-        tops[m] *= lift
-        lift *= q * m
-    return tops, q**n * factorial(n)
+    return over_factorial_scales(tops, q)
 
 
 def _convolution_prefix(

@@ -10,8 +10,9 @@ formula for g*C^l.  Series exp and log stay as a second, independent
 route to rational powers, which the route-independence case checks
 against the recurrence.
 
-A series is stored as integer numerators over one denominator, as a
-Polynomial is.  Sums, scalar and series products, truncation,
+A series is stored in the integer form of exactnum._IntegerForm, the
+one core it shares with Polynomial, with trailing zeros kept so the
+length fixes the order.  Sums, scalar and series products, truncation,
 derivatives, powers, exp and log all run over integers, and a Fraction
 is built only where a coefficient is read, so results are the exact,
 fully reduced rationals.  exp and log run their own recurrences, never
@@ -41,19 +42,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, perm
-from typing import Iterable, Sequence
+from math import factorial, gcd, perm
+from typing import Iterable
 
 from .exactnum import (
     MEMO_SIZE,
     OutOfRangeError,
     Polynomial,
     Scalar,
+    _IntegerForm,
     binomial,
     exact_rational,
     falling_factorial,
     integer_convolution,
-    scaled_to_integers,
+    over_factorial_scales,
 )
 
 
@@ -65,44 +67,25 @@ class OrderExhaustedError(ValueError):
     """A coefficient or derivative beyond the truncation order was requested."""
 
 
-class TruncatedSeries:
+class TruncatedSeries(_IntegerForm):
     """Coefficients c_0..c_N of a power series truncated after x^N.
 
-    Stored as integer numerators over one denominator: _num holds all
-    N + 1 numerators (zeros included, so its length fixes the order)
-    and _den is positive with gcd(_den, *_num) == 1.  The form is
-    canonical, so equal series always compare and hash equal, and a
-    series is never changed after it is built, so memos can share it.
-    Coefficients are read as Fractions, built on demand.
-
-    The public constructor is the only place that validates
-    coefficients; every operation builds its result over integers
-    through _from_integers.
+    The integer form of _IntegerForm with trailing zeros kept: _num
+    holds all N + 1 numerators, so its length fixes the order.  Equal
+    series always compare and hash equal, and binary operations with
+    another series require equal orders.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
 
     def __init__(self, coefficients: Iterable[Scalar]):
-        values = [exact_rational(c) for c in coefficients]
-        if not values:
+        super().__init__(coefficients)
+        if not self._num:
             raise ValueError("a truncated series has at least its constant term")
-        self._num, self._den = _reduced(*scaled_to_integers(values))
-
-    @classmethod
-    def _from_integers(cls, num: Sequence[int], den: int) -> "TruncatedSeries":
-        """The series with numerators num over den > 0, unvalidated."""
-        series = object.__new__(cls)
-        series._num, series._den = _reduced(num, den)
-        return series
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
         return cls((value,) + (0,) * order)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        den = self._den
-        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def order(self) -> int:
@@ -122,89 +105,28 @@ class TruncatedSeries:
             )
         return TruncatedSeries._from_integers(self._num[: order + 1], self._den)
 
-    def _require_same_order(self, other: "TruncatedSeries") -> None:
+    def _check_operand(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
-    def _plus(self, num: Sequence[int], den: int) -> "TruncatedSeries":
-        """self plus the series num/den; num may stop before the order."""
-        common = lcm(self._den, den)
-        scale, other_scale = common // self._den, common // den
-        out = [c * scale for c in self._num]
-        for k, c in enumerate(num):
-            out[k] += c * other_scale
-        return TruncatedSeries._from_integers(out, common)
-
-    def __add__(self, other: object) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._require_same_order(other)
-            return self._plus(other._num, other._den)
-        if isinstance(other, (int, Fraction)):
-            return self._plus((other.numerator,), other.denominator)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._from_integers([-c for c in self._num], self._den)
-
-    def __sub__(self, other: object) -> "TruncatedSeries":
-        if isinstance(other, (TruncatedSeries, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other: object) -> "TruncatedSeries":
-        return (-self) + other
-
     def __mul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            self._require_same_order(other)
+            self._check_operand(other)
             a = self._num
             return TruncatedSeries._from_integers(
                 integer_convolution(a, other._num, len(a)), self._den * other._den
             )
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return TruncatedSeries._from_integers(
-                [c * p for c in self._num], self._den * other.denominator
-            )
-        return NotImplemented
+        return self._scaled(other)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self._num == other._num and self._den == other._den
-        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(coefficients={self.coefficients!r})"
-
-
-def _reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """num/den with the common factor of den and all numerators divided
-    out; unlike a polynomial's form, trailing zeros stay."""
-    common = gcd(den, *num)
-    if common == 1:
-        return tuple(num), den
-    return tuple(c // common for c in num), den // common
-
-
-def _over_factorial_scales(numerators: Sequence[int], scale: int) -> TruncatedSeries:
-    """The series with coefficient n equal to numerators[n]/(n!*scale^n),
-    brought to the one denominator N!*scale^N."""
-    order = len(numerators) - 1
-    num = [0] * (order + 1)
-    lift = 1  # N!/n! * scale^(N-n)
-    for n in range(order, -1, -1):
-        num[n] = numerators[n] * lift
-        lift *= n * scale
-    return TruncatedSeries._from_integers(num, factorial(order) * scale**order)
 
 
 def _require_order(order: int) -> None:
@@ -270,7 +192,7 @@ def series_log(f: TruncatedSeries) -> TruncatedSeries:
             acc -= (n - j) * weighted[j] * numerators[n - j] * falling
             falling *= n - j
         numerators.append(acc)
-    return _over_factorial_scales(numerators, den)
+    return TruncatedSeries._from_integers(*over_factorial_scales(numerators, den))
 
 
 def series_exp(u: TruncatedSeries) -> TruncatedSeries:
@@ -302,7 +224,7 @@ def series_exp(u: TruncatedSeries) -> TruncatedSeries:
             acc += weighted[k] * numerators[n - k] * falling
             falling *= n - k
         numerators.append(acc)
-    return _over_factorial_scales(numerators, scale)
+    return TruncatedSeries._from_integers(*over_factorial_scales(numerators, scale))
 
 
 def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
@@ -338,7 +260,9 @@ def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
             acc += ((p + q) * k - n * q) * weighted[k - 1] * numerators[n - k] * falling
             falling *= n - k
         numerators.append(acc)
-    return _over_factorial_scales(numerators, q * scale)
+    return TruncatedSeries._from_integers(
+        *over_factorial_scales(numerators, q * scale)
+    )
 
 
 @lru_cache(maxsize=MEMO_SIZE)

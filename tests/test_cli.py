@@ -294,6 +294,24 @@ def test_verify_rejects_bad_bounds(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("series", "--n-max"),
+        ("series", "--t-max"),
+        ("series", "--seed"),
+        ("bijection", "--order"),
+        ("bijection", "--seed"),
+        ("identities", "--order"),
+    ],
+)
+def test_verify_refuses_a_bound_its_suite_does_not_take(suite, flag, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, flag, "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err and suite in err
+
+
 def test_verify_reports_failures_with_exit_one(monkeypatch, capsys):
     # Exercise the failure path through a synthetic case; the math
     # itself has no failing inputs to offer.

@@ -321,6 +321,9 @@ def test_sums_match_coefficientwise_fraction_sums(a, b, c):
         (a + c, fraction_sum(a, constant, 1)),
         (c - a, fraction_sum(constant, a, -1)),
         (a - a, Polynomial()),
+        (-a, fraction_sum(Polynomial(), a, -1)),
+        (a * c, Polynomial(x * c for x in a.coefficients)),
+        (c * a, Polynomial(x * c for x in a.coefficients)),
     )
     for result, reference in pairs:
         assert result == reference
@@ -339,6 +342,23 @@ def test_one_polynomial_by_two_routes_is_stored_once():
     assert (Polynomial()._num, Polynomial()._den) == ((), 1)
     assert ((X + Fraction(1, 3)) - X) == Fraction(1, 3)
     assert hash((X + Fraction(1, 3)) - X) == hash(Fraction(1, 3))
+
+
+@given(values=st.lists(kernel_rationals, min_size=1, max_size=6).filter(lambda v: v[-1]))
+@example(values=[Fraction(3, 2)])
+@example(values=[Fraction(-4)])
+@example(values=[Fraction(1, 2), 0, Fraction(-2, 3)])
+def test_a_polynomial_never_equals_a_series_of_the_same_integer_form(values):
+    poly, truncated = Polynomial(values), series.TruncatedSeries(values)
+    assert (poly._num, poly._den) == (truncated._num, truncated._den)
+    assert poly != truncated and truncated != poly
+    assert not poly == truncated and not truncated == poly
+    value = values[0]
+    scalars = (value, int(value)) if value.denominator == 1 else (value,)
+    for scalar in scalars:
+        assert (poly == scalar) is (scalar == poly) is poly.is_constant
+        if poly.is_constant:
+            assert hash(poly) == hash(scalar)
 
 
 # str and repr of each fixture, as printed before the integer form.

@@ -174,9 +174,17 @@ def test_series_kernels_match_fraction_loops(pair, c):
         (f + c, (a[0] + c, *a[1:])),
         (c - f, (c - a[0], *(-x for x in a[1:]))),
         (f * c, tuple(x * c for x in a)),
+        (-f, tuple(-x for x in a)),
         (f * g, cauchy_product(a, b)),
         (f.truncate(order // 2), tuple(a[: order // 2 + 1])),
     ]
+    # The sum, negation and scalar kernels are shared with Polynomial,
+    # which keeps the same integer form but drops trailing zeros.
+    p, q = Polynomial(a), Polynomial(b)
+    polynomial_results = (p + q, p - q, p + c, c - p, p * c, -p)
+    for result, (_, reference) in zip(polynomial_results, pairs):
+        assert result == Polynomial(reference)
+        assert type(result) is Polynomial
     for n in range(order + 1):
         derivative = tuple(a[k + n] * perm(k + n, n) for k in range(order - n + 1))
         pairs.append((nth_derivative(f, n), derivative))
