@@ -13,31 +13,26 @@ the sum is unchanged when a single offset pair (a, 0) is deformed to
 (a - x, x), and the finite-difference formula that drives that proof
 holds symbolically.
 
-The difference formula is checked for every (i, m) of each (n, a), and
-every check reads the same sequence entries and the same bridge to the
-convolution sum.  So the entries (_difference_poly) and the bridge
-(_bridge_holds) are computed once per process, keyed on n, the
-validated exact a and the index; a case's wall time can therefore
-depend on which cases ran before it.  Nothing else is memoized: closed
-forms, convolution sums and inclusion-exclusion sums are recomputed on
-every call.  For integer L the inclusion-exclusion sum runs both of its
-rewritings on math.comb, over plain integers, with no Fraction until
-the result.  The truncated product behind a convolution sum of size n
-holds the sums of every size up to n, so convolution_sums returns a
-whole sweep over sizes from one product, not one product per size.
+Nothing is memoized, so a case's wall time does not depend on which
+cases ran before it; a check that sweeps a family builds the family's
+shared inputs once per call instead (the sequence entries of one
+(n, a) in delta_formula_check, two truncated products per t in
+recurrence_check).  For integer L the inclusion-exclusion sum runs
+both of its rewritings on math.comb, over plain integers, with no
+Fraction until the result.  The truncated product behind a
+convolution sum of size n holds the sums of every size up to n, so
+convolution_sums returns a whole sweep over sizes from one product,
+not one product per size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Union
 
 from .exactnum import (
-    MEMO_SIZE,
-    OutOfRangeError,
     Polynomial,
     Scalar,
     binomial,
@@ -152,18 +147,22 @@ def odd_t_forms(n: int, L: int) -> bool:
     return lhs == first == second
 
 
-def recurrence_check(t: int, n: int) -> bool:
-    """Zero-offset sums satisfy S_{t+2}(n+1) = S_t(n+1) + 4*S_{t+2}(n).
+def recurrence_check(t: int, n_max: int) -> list[int]:
+    """Zero-offset sums satisfy S_{t+2}(n+1) = S_t(n+1) + 4*S_{t+2}(n);
+    the n <= n_max at which they do not.
 
-    Both width-(t+2) sums come from one truncated product."""
+    Each width's sums of sizes 0..n_max+1 come from one truncated
+    product."""
     if not isinstance(t, int) or t < 1:
         raise ValueError("t must be a positive integer")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("n_max must be a nonnegative integer")
 
-    wide = convolution_sums((Fraction(0),) * (t + 2), n + 1)
-    narrow = convolution_sum(ConvolutionSpec(n + 1, (Fraction(0),) * t))
-    return wide[n + 1] == narrow + 4 * wide[n]
+    wide = convolution_sums((Fraction(0),) * (t + 2), n_max + 1)
+    narrow = convolution_sums((Fraction(0),) * t, n_max + 1)
+    return [
+        n for n in range(n_max + 1) if wide[n + 1] != narrow[n + 1] + 4 * wide[n]
+    ]
 
 
 PolyOrRational = Union[Polynomial, Fraction, int]
@@ -241,52 +240,45 @@ def shift_invariance_poly(n: int, a: Scalar) -> Polynomial:
     return total
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _difference_poly(n: int, a: Fraction, index: int) -> Polynomial:
-    """The polynomial (x - a + index - 1) falling index, times
-    (x + 2n) falling (n - index); the sequence the difference formula
-    is about."""
-    lead = falling_factorial(Polynomial((index - 1 - a, 1)), index)
-    tail = falling_factorial(Polynomial((2 * n, 1)), n - index)
-    return lead * tail
+def delta_formula_check(n: int, a: Scalar) -> list[str]:
+    """The difference formula behind the offset-shift proof, at one
+    size n >= 1 and offset a; the failures found, as strings.
 
+    The sequence is entry(index) = (x - a + index - 1) falling index,
+    times (x + 2n) falling (n - index), for index = 0..n.  For every
+    (i, m) with 1 <= m <= n - i, its m-fold forward difference at i has
+    the closed form (-1)^m (a+n+m)_m (x-a+i-1)_i (x+2n)_{n-i-m}; a
+    failure is reported as "i=.., m=..".
 
-def delta_formula_check(n: int, a: Scalar, i: int, m: int) -> bool:
-    """The m-fold forward difference of the sequence above has the
-    closed form (-1)^m (a+n+m)_m (x-a+i-1)_i (x+2n)_{n-i-m}.
-
-    Also checks the companion identity obtained by substituting
-    x -> x - 2*index into each sequence entry: its alternating binomial
-    sum collapses to n! times the two-fold convolution sum with offsets
+    Also checks, once, the companion identity obtained by substituting
+    x -> x - 2*index into each entry: its alternating binomial sum
+    collapses to n! times the two-fold convolution sum with offsets
     [a, 0], tying the symbolic computation back to the numeric one.
+    Its failure is reported as "bridge".  The entries and their factors
+    are built once and shared by every check.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if not isinstance(i, int) or i < 0:
-        raise ValueError("i must be a nonnegative integer")
-    if not isinstance(m, int) or m < 1:
-        raise OutOfRangeError("m must be a positive integer")
-    if m > n - i:
-        raise OutOfRangeError(f"m must be at most n - i = {n - i}")
+    if not isinstance(n, int) or n < 1:
+        # Size 0 has no (i, m), so it would pass without checking anything.
+        raise ValueError("n must be a positive integer")
     a = exact_rational(a)
-    lhs = finite_difference(lambda index: _difference_poly(n, a, index), m, i)
-    rhs = (
-        falling_factorial(a + n + m, m)
-        * falling_factorial(Polynomial((i - 1 - a, 1)), i)
-        * falling_factorial(Polynomial((2 * n, 1)), n - i - m)
-    )
-    if m % 2:
-        rhs = -rhs
-    return lhs == rhs and _bridge_holds(n, a)
+    # leads[k] = (x - a + k - 1) falling k, tails[k] = (x + 2n) falling k
+    leads = [falling_factorial(Polynomial((k - 1 - a, 1)), k) for k in range(n + 1)]
+    tails = [falling_factorial(Polynomial((2 * n, 1)), k) for k in range(n + 1)]
+    entries = [leads[index] * tails[n - index] for index in range(n + 1)]
+    failures = []
+    for i in range(n):
+        for m in range(1, n - i + 1):
+            rhs = falling_factorial(a + n + m, m) * leads[i] * tails[n - i - m]
+            if m % 2:
+                rhs = -rhs
+            if finite_difference(entries.__getitem__, m, i) != rhs:
+                failures.append(f"i={i}, m={m}")
 
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _bridge_holds(n: int, a: Fraction) -> bool:
-    """The companion identity of delta_formula_check, which depends on
-    (n, a) alone."""
     bridge = Polynomial()
-    for index in range(n + 1):
-        term = _difference_poly(n, a, index).taylor_shift(-2 * index) * comb(n, index)
+    for index, entry in enumerate(entries):
+        term = entry.taylor_shift(-2 * index) * comb(n, index)
         bridge = bridge - term if index % 2 else bridge + term
     target = factorial(n) * convolution_sum(ConvolutionSpec(n, (a, Fraction(0))))
-    return bridge == target
+    if bridge != target:
+        failures.append("bridge")
+    return failures

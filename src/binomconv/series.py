@@ -24,8 +24,6 @@ additivity cases reuse powers the identity checks take), so the base
 series g and C and their powers are computed once per process: _base
 and _power memoize them, keyed on the series kind, the order and the
 exact exponent, after the checks (or base_power) have validated those.
-The product g*C^b, which the derivative identities of g*C^l and C^l
-differentiate once for every n, is memoized the same way (_g_catalan).
 The certificate polynomials F(n, i) and G(n, i) are memoized too, each
 in its own memo keyed on the integers (n, i), so the two sides of the
 telescoping identity share no result.  A case's wall time can
@@ -283,17 +281,6 @@ def _power(kind: str, order: int, r: Fraction) -> TruncatedSeries:
     return series_pow(_base(kind, order), r)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _g_catalan(order: int, b: Fraction) -> TruncatedSeries:
-    """g*C^b from the memoized factors, multiplied once per exponent.
-
-    The gC variant of derivative_identity_check differentiates g*C^l
-    and the C variant differentiates g*C^(l+1), for every n; both read
-    the product here.  The key must already be exact, as for _power.
-    """
-    return _base("g", order) * _power("catalan", order, b)
-
-
 def base_power(kind: str, order: int, r: Scalar) -> TruncatedSeries:
     """series_pow(base_series(kind, order), r) for g or catalan, from
     the memo; order and r are validated before the lookup."""
@@ -316,9 +303,10 @@ def nth_derivative(f: TruncatedSeries, n: int) -> TruncatedSeries:
 
 
 def derivative_identity_check(
-    variant: str, param: Scalar, n: int, order: int
-) -> bool:
-    """Derivative identities for g^t, g*C^l, and C^l.
+    variant: str, param: Scalar, n_max: int, order: int
+) -> list[int]:
+    """Derivative identities for g^t, g*C^l, and C^l; the n in
+    1..n_max at which they fail.
 
     gt: the n-th derivative of g^t, divided by n!, equals
         4^n*binomial(n + t/2 - 1, n)*g^(t+2n).
@@ -329,36 +317,49 @@ def derivative_identity_check(
         l*g*C^(l+1).
 
     Inputs are computed at the given order and compared at order - n.
-    The product g*C^b is taken once per (order, b) from the _g_catalan
-    memo, so it is not rebuilt for every n; the gC right-hand side's
-    terms g^(1+2n-i)*C^(l+i) are multiplied afresh on every call.
+    The series every n differentiates (g^t, g*C^l or l*g*C^(l+1)) is
+    built once per call; the gC right-hand side's terms
+    g^(1+2n-i)*C^(l+i) are multiplied afresh for every n.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError("n_max must be a positive integer")
     _require_order(order)
-    if order < n + 8:
-        raise ValueError("order must be at least n + 8 for a working margin")
+    if order < n_max + 8:
+        raise ValueError("order must be at least n_max + 8 for a working margin")
     param = exact_rational(param)
-    target = order - n
     if variant == "gt":
-        lhs = nth_derivative(_power("g", order, param), n) * Fraction(1, factorial(n))
-        scale = Fraction(4) ** n * binomial(param / 2 + n - 1, n)
-        rhs = (_power("g", order, param + 2 * n) * scale).truncate(target)
-        return lhs == rhs
-    if variant == "C":
-        lhs = nth_derivative(_power("catalan", order, param), n)
-        rhs = nth_derivative(_g_catalan(order, param + 1) * param, n - 1).truncate(target)
-        return lhs == rhs
-    if variant == "gC":
-        lhs = nth_derivative(_g_catalan(order, param), n) * Fraction(1, factorial(n))
-        total = TruncatedSeries.constant(0, order)
-        for i in range(n + 1):
-            scale = binomial(2 * n - i, n - i) * binomial(param + i - 1, i)
-            total = total + _power("g", order, 1 + 2 * n - i) * _power(
-                "catalan", order, param + i
-            ) * scale
-        return lhs == total.truncate(target)
-    raise ValueError(f"unknown variant {variant!r}")
+        power = _power("g", order, param)
+
+        def holds(n: int) -> bool:
+            lhs = nth_derivative(power, n) * Fraction(1, factorial(n))
+            scale = Fraction(4) ** n * binomial(param / 2 + n - 1, n)
+            rhs = _power("g", order, param + 2 * n) * scale
+            return lhs == rhs.truncate(order - n)
+
+    elif variant == "C":
+        power = _power("catalan", order, param)
+        product = _base("g", order) * _power("catalan", order, param + 1) * param
+
+        def holds(n: int) -> bool:
+            rhs = nth_derivative(product, n - 1).truncate(order - n)
+            return nth_derivative(power, n) == rhs
+
+    elif variant == "gC":
+        product = _base("g", order) * _power("catalan", order, param)
+
+        def holds(n: int) -> bool:
+            lhs = nth_derivative(product, n) * Fraction(1, factorial(n))
+            total = TruncatedSeries.constant(0, order)
+            for i in range(n + 1):
+                scale = binomial(2 * n - i, n - i) * binomial(param + i - 1, i)
+                total = total + _power("g", order, 1 + 2 * n - i) * _power(
+                    "catalan", order, param + i
+                ) * scale
+            return lhs == total.truncate(order - n)
+
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return [n for n in range(1, n_max + 1) if not holds(n)]
 
 
 def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:

@@ -355,12 +355,11 @@ def odd_width_failures(n_max: int, L_max: int) -> list[str]:
 def recurrence_failures(t_max: int, n_max: int) -> list[str]:
     _require_positive("t_max", t_max)
     _require_nonnegative("n_max", n_max)
-    failures = []
-    for t in range(1, t_max + 1):
-        for n in range(n_max + 1):
-            if not identities.recurrence_check(t, n):
-                failures.append(f"t={t}, n={n}")
-    return failures
+    return [
+        f"t={t}, n={n}"
+        for t in range(1, t_max + 1)
+        for n in identities.recurrence_check(t, n_max)
+    ]
 
 
 def _random_rational(rng: random.Random, bound: int = 12, den: int = 6) -> Fraction:
@@ -452,14 +451,12 @@ def difference_formula_failures(n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
     # Size 0 has no difference of order m >= 1, so n_max = 0 checks nothing.
     _require_positive("n_max", n_max)
-    failures = []
-    for n in range(n_max + 1):
-        for a in SHIFT_PARAMETERS:
-            for i in range(n + 1):
-                for m in range(1, n - i + 1):
-                    if not identities.delta_formula_check(n, a, i, m):
-                        failures.append(f"n={n}, a={a}, i={i}, m={m}")
-    return failures
+    return [
+        f"n={n}, a={a}, {failure}"
+        for n in range(1, n_max + 1)
+        for a in SHIFT_PARAMETERS
+        for failure in identities.delta_formula_check(n, a)
+    ]
 
 
 def identities_suite(
@@ -563,13 +560,12 @@ def derivative_law_failures(order: int) -> list[str]:
 
 def derivative_identity_failures(order: int, n_max: int) -> list[str]:
     _require_positive("n_max", n_max)
-    failures = []
-    for variant in ("gt", "gC", "C"):
-        for param in SERIES_PARAMETERS:
-            for n in range(1, n_max + 1):
-                if not series.derivative_identity_check(variant, param, n, order):
-                    failures.append(f"{variant}, param={param}, n={n}")
-    return failures
+    return [
+        f"{variant}, param={param}, n={n}"
+        for variant in ("gt", "gC", "C")
+        for param in SERIES_PARAMETERS
+        for n in series.derivative_identity_check(variant, param, n_max, order)
+    ]
 
 
 def coefficient_identity_failures(order: int) -> list[str]:

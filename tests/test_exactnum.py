@@ -481,9 +481,11 @@ FLOAT_ENTRY_POINTS = {
     "inclusion_exclusion_sum": lambda: identities.inclusion_exclusion_sum(2.0, 1),
     "opposite_offsets_check": lambda: identities.opposite_offsets_check(2, 0.5),
     "shift_invariance_poly": lambda: identities.shift_invariance_poly(2, 0.5),
-    "delta_formula_check": lambda: identities.delta_formula_check(2, 0.5, 0, 1),
+    "delta_formula_check": lambda: identities.delta_formula_check(2, 0.5),
     "base_series": lambda: series.base_series("binomial_power", 4, 0.5),
-    "derivative_identity_check": lambda: series.derivative_identity_check("gt", 0.5, 1, 16),
+    "derivative_identity_check": lambda: series.derivative_identity_check(
+        "gt", 0.5, n_max=1, order=16
+    ),
     "coefficient_identity_check": lambda: series.coefficient_identity_check("gt", 0.5, 16),
 }
 

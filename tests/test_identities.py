@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomconv import identities, suites
-from binomconv.exactnum import OutOfRangeError, Polynomial, X, binomial
+from binomconv.exactnum import Polynomial, X, binomial
 from binomconv.identities import (
     ConvolutionSpec,
     RewritingMismatchError,
@@ -236,11 +236,27 @@ def test_recurrence_examples():
     # S_3(1) = 6 splits as S_1(1) + 4*S_3(0) = 2 + 4.
     assert closed_form(1, 3) == 6
     assert closed_form(1, 1) == 2
-    assert recurrence_check(1, 0)
-    assert recurrence_check(1, 1)
+    assert recurrence_check(1, 0) == []
     for t in range(1, 5):
-        for n in range(6):
-            assert recurrence_check(t, n)
+        assert recurrence_check(t, 5) == []
+
+
+def test_recurrence_reports_the_failing_sizes(monkeypatch):
+    exact = identities.convolution_sums
+
+    def off_at_three(offsets, n_max):
+        sums = exact(offsets, n_max)
+        if len(offsets) == 3:
+            sums[3] += 1
+        return sums
+
+    monkeypatch.setattr(identities, "convolution_sums", off_at_three)
+    # S_3(3) is off.  For t = 1 it is the wide sum, read at n = 2 (as
+    # S_3(n+1)) and at n = 3 (as 4*S_3(n)); for t = 3 it is the narrow
+    # sum, read at n = 2 only.
+    assert recurrence_check(1, 5) == [2, 3]
+    assert recurrence_check(3, 5) == [2]
+    assert recurrence_check(2, 5) == []
 
 
 def test_recurrence_rejects_bad_arguments():
@@ -248,6 +264,8 @@ def test_recurrence_rejects_bad_arguments():
         recurrence_check(0, 3)
     with pytest.raises(ValueError):
         recurrence_check(2, -1)
+    with pytest.raises(ValueError):
+        recurrence_check(2, 1.0)
 
 
 # --------------------------------------------------------- inclusion-exclusion
@@ -357,25 +375,41 @@ def test_shift_invariance_is_constant_in_the_shift():
 
 
 def test_delta_formula_examples():
-    assert delta_formula_check(1, 0, 0, 1)
-    assert delta_formula_check(5, 1, 2, 2)
-    assert delta_formula_check(4, Fraction(3, 2), 0, 4)
+    assert delta_formula_check(1, 0) == []
+    assert delta_formula_check(5, 1) == []
+    assert delta_formula_check(4, Fraction(3, 2)) == []
 
 
 def test_delta_formula_all_admissible_small_cases():
     for n in range(1, 5):
         for a in SHIFT_PARAMETERS:
-            for i in range(n):
-                for m in range(1, n - i + 1):
-                    assert delta_formula_check(n, a, i, m)
+            assert delta_formula_check(n, a) == []
 
 
 def test_delta_formula_rejects_out_of_range_orders():
-    with pytest.raises(OutOfRangeError):
-        delta_formula_check(3, 0, 1, 0)
-    with pytest.raises(OutOfRangeError):
-        delta_formula_check(3, 0, 1, 3)  # m > n - i
+    # Size 0 has no difference of order m >= 1 to check.
     with pytest.raises(ValueError):
-        delta_formula_check(3, 0, -1, 1)
+        delta_formula_check(0, 0)
     with pytest.raises(ValueError):
-        delta_formula_check(-3, 0, 0, 1)
+        delta_formula_check(-3, 0)
+    with pytest.raises(ValueError):
+        delta_formula_check(2.0, 0)
+
+
+def test_an_off_by_one_convolution_sum_fails_the_difference_formula(monkeypatch):
+    exact = identities.convolution_sum
+    monkeypatch.setattr(identities, "convolution_sum", lambda spec: exact(spec) + 1)
+    assert delta_formula_check(2, Fraction(1, 2)) == ["bridge"]
+    # A broken bridge is reported once per (n, a), not at every (i, m).
+    failures = suites.difference_formula_failures(3)
+    assert len(failures) == 3 * len(suites.SHIFT_PARAMETERS)
+    assert all(failure.endswith(", bridge") for failure in failures)
+
+
+def test_each_difference_bridge_is_computed_once():
+    with mock.patch.object(
+        identities, "convolution_sum", wraps=identities.convolution_sum
+    ) as counted:
+        assert suites.difference_formula_failures(4) == []
+    # One bridge, and so one convolution sum, per (n, a) with n >= 1.
+    assert counted.call_count == 4 * len(suites.SHIFT_PARAMETERS)

@@ -1,8 +1,7 @@
 """The once-per-process memos of base series, series powers, the
-certificate polynomials, the difference-formula bridge and the
-bijection's recursive steps and section rewrites: they recompute
-nothing, refuse floats even when warm, leave traces whole, and let an
-injected fault through to the verdict."""
+certificate polynomials and the bijection's recursive steps and section
+rewrites: they recompute nothing, refuse floats even when warm, leave
+traces whole, and let an injected fault through to the verdict."""
 
 from fractions import Fraction
 
@@ -13,11 +12,8 @@ from binomconv import bijection, cli, exactnum, identities, series, suites
 MEMOS = (
     series._base,
     series._power,
-    series._g_catalan,
     series._certificate_summand,
     series._certificate_multiplier,
-    identities._difference_poly,
-    identities._bridge_holds,
     bijection._phi_memo,
     bijection._phi_inverse_memo,
     bijection._section_forward,
@@ -39,17 +35,14 @@ def cold_memos():
 
 
 def test_floats_are_refused_after_the_memo_is_warm(cold_memos):
-    assert series.derivative_identity_check("gt", HALF, 1, order=32)
+    assert series.derivative_identity_check("gt", HALF, 1, order=32) == []
     assert series.coefficient_identity_check("gC", HALF, order=24)
-    assert identities.delta_formula_check(2, HALF, 0, 1)
     # 0.5 == Fraction(1, 2) and both hash alike: only validation before
-    # the lookup keeps the cached verdicts from answering a float.
+    # the lookup keeps the cached powers from answering a float.
     with pytest.raises(TypeError):
         series.derivative_identity_check("gt", 0.5, 1, order=32)
     with pytest.raises(TypeError):
         series.coefficient_identity_check("gC", 0.5, order=24)
-    with pytest.raises(TypeError):
-        identities.delta_formula_check(2, 0.5, 0, 1)
     # The same holds for a float order equal to a cached one.
     with pytest.raises(ValueError):
         series.derivative_identity_check("gt", HALF, 1, order=32.0)
@@ -80,7 +73,7 @@ def test_a_perturbed_series_power_fails_the_series_checks(cold_memos, monkeypatc
         return series.TruncatedSeries(coefficients)
 
     monkeypatch.setattr(series, "series_pow", perturbed)
-    assert not series.derivative_identity_check("gt", HALF, 1, order=32)
+    assert series.derivative_identity_check("gt", HALF, 1, order=32) == [1]
     assert not series.coefficient_identity_check("gC", HALF, order=24)
 
 
@@ -97,28 +90,11 @@ def test_a_perturbed_catalan_power_fails_the_derivative_identities(
         coefficients[5] += 1
         return series.TruncatedSeries(coefficients)
 
-    # The g*C^b memo is cold, so it multiplies the perturbed powers.
+    # Each check builds its g*C^b from the perturbed powers.
     monkeypatch.setattr(series, "_power", perturbed)
     failures = suites.derivative_identity_failures(32, 3)
     assert any(failure.startswith("gC,") for failure in failures)
     assert any(failure.startswith("C,") for failure in failures)
-
-
-def test_each_g_catalan_product_is_built_once(cold_memos):
-    assert suites.run_cases("series", suites.series_suite()).all_passed
-    info = series._g_catalan.cache_info()
-    # Each check of the gC and C variants, at n = 1..5, reads one
-    # product; only the eight l and the five new l + 1 are built.
-    assert info.currsize == 13
-    assert info.hits == 2 * len(suites.SERIES_PARAMETERS) * 5 - 13
-
-
-def test_an_off_by_one_convolution_sum_fails_the_difference_formula(
-    cold_memos, monkeypatch
-):
-    exact = identities.convolution_sum
-    monkeypatch.setattr(identities, "convolution_sum", lambda spec: exact(spec) + 1)
-    assert not identities.delta_formula_check(2, HALF, 0, 1)
 
 
 def count_calls(monkeypatch, module, name) -> list[tuple]:
@@ -183,13 +159,6 @@ def test_each_sweep_builds_one_truncated_product_per_offset_vector(monkeypatch):
         (zeros[:2], 12),
         (zeros, 12),
     ]
-
-
-def test_each_difference_bridge_is_computed_once(cold_memos, monkeypatch):
-    calls = count_calls(monkeypatch, identities, "convolution_sum")
-    assert suites.difference_formula_failures(4) == []
-    # One bridge, and so one convolution sum, per (n, a) with n >= 1.
-    assert len(calls) == 4 * len(suites.SHIFT_PARAMETERS)
 
 
 def test_each_inner_bijection_step_is_computed_once(cold_memos, monkeypatch):

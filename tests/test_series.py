@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binomconv import series
 from binomconv.exactnum import Polynomial, X, OutOfRangeError, binomial
 from binomconv.series import (
     NonUnitConstantTermError,
@@ -406,21 +407,43 @@ def test_first_order_derivative_laws():
 
 
 def test_derivative_identity_examples():
-    assert derivative_identity_check("gt", 3, 2, order=32)
-    assert derivative_identity_check("gt", Fraction(-1, 2), 1, order=32)
-    assert derivative_identity_check("C", 2, 2, order=32)
-    assert derivative_identity_check("C", Fraction(5, 2), 1, order=32)
-    assert derivative_identity_check("gC", 1, 2, order=32)
-    assert derivative_identity_check("gC", -3, 3, order=32)
+    assert derivative_identity_check("gt", 3, 2, order=32) == []
+    assert derivative_identity_check("gt", Fraction(-1, 2), 1, order=32) == []
+    assert derivative_identity_check("C", 2, 2, order=32) == []
+    assert derivative_identity_check("C", Fraction(5, 2), 1, order=32) == []
+    assert derivative_identity_check("gC", 1, 2, order=32) == []
+    assert derivative_identity_check("gC", -3, 3, order=32) == []
 
 
 def test_derivative_identity_preconditions():
     with pytest.raises(ValueError):
         derivative_identity_check("gt", 1, 0, order=32)
     with pytest.raises(ValueError):
-        derivative_identity_check("gt", 1, 30, order=32)
+        derivative_identity_check("gt", 1, 1.0, order=32)
+    with pytest.raises(ValueError):
+        derivative_identity_check("gt", 1, 25, order=32)  # order < n_max + 8
+    assert derivative_identity_check("gt", 1, 24, order=32) == []
+    with pytest.raises(ValueError):
+        derivative_identity_check("gt", 1, 1, order=32.0)
     with pytest.raises(ValueError):
         derivative_identity_check("nope", 1, 1, order=32)
+
+
+def test_a_perturbed_power_fails_the_derivative_identity_at_its_n(monkeypatch):
+    exact = series._power
+    param = Fraction(1, 2)
+
+    def perturbed(kind, order, r):
+        power = exact(kind, order, r)
+        if (kind, r) != ("g", param + 6):
+            return power
+        coefficients = list(power.coefficients)
+        coefficients[5] += 1
+        return TruncatedSeries(coefficients)
+
+    monkeypatch.setattr(series, "_power", perturbed)
+    # g^(t+2n) is read at n = 3 only.
+    assert derivative_identity_check("gt", param, 5, order=32) == [3]
 
 
 def test_coefficient_identity_examples():
