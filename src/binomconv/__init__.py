@@ -7,7 +7,14 @@ algebraic one (exact convolution sums, their closed forms, and the
 polynomial identities behind them), and an analytic one (truncated
 power series for the central binomial and Catalan generating functions,
 with derivative, coefficient, and telescoping-certificate checks).
+
+Importing the package loads only the combinatorial layer.  The modules
+exactnum, identities and series, and the names taken from them below,
+are imported the first time they are looked up (PEP 562), so the
+bijection commands never load the algebraic and analytic layers.
 """
+
+import importlib
 
 from .bijection import phi, phi_inverse, tower_configuration
 from .configuration import (
@@ -20,9 +27,15 @@ from .configuration import (
     render,
     to_subset_pair,
 )
-from .exactnum import Polynomial, Rational, binomial, falling_factorial
-from .identities import ConvolutionSpec, closed_form, convolution_sum, convolution_sums
-from .series import TruncatedSeries, base_series, series_pow
+
+#: The public names of the algebraic and analytic layers, by the module
+#: that defines them; each module is imported on first lookup.
+_LAZY = {
+    "exactnum": ("Polynomial", "Rational", "binomial", "falling_factorial"),
+    "identities": ("ConvolutionSpec", "closed_form", "convolution_sum", "convolution_sums"),
+    "series": ("TruncatedSeries", "base_series", "series_pow"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "Configuration",
@@ -50,3 +63,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ skeleton columns as a string such as "1.", and decode_pairs reports a
 tower's color as its character, 1 or 2.
 
 Each section rewrite, and each recursive step of an untraced call, comes
-from a bounded memo of exactnum.MEMO_SIZE entries, so an exhaustive
+from a bounded memo of MEMO_SIZE entries, so an exhaustive
 sweep computes few of them more than once.  The recursion memos are
 keyed by the uncompressed skeleton (forward) or the pair seed (inverse)
 and hold the expanded result, so a hit neither compresses nor expands.
@@ -52,7 +52,6 @@ from .configuration import (
     _wrap,
     is_tower_free,
 )
-from .exactnum import MEMO_SIZE
 
 TraceLog = list
 
@@ -119,6 +118,11 @@ _SECTION = re.compile("([.12][AaBb]*[.12])")
 #: configuration, so every step of a sweep is memoized, while the long
 #: keys of long inputs, which seldom recur, are not stored.
 SWEEP_LENGTH_LIMIT = 10
+
+#: Entries kept by each of the four memos here: the two section
+#: rewrites and the two recursion memos.  The limit keeps a long-lived
+#: process from growing without bound.
+MEMO_SIZE = 256
 
 
 def _compress(skeleton: str) -> str:

@@ -6,7 +6,9 @@ a configuration family), and verify (run the verification suites and
 emit a text or JSON report).  verify runs the cases in order, in one
 process; a bound flag left out takes its value from
 suites.DEFAULT_BOUNDS, and a bound flag that no selected suite takes is
-a usage error.
+a usage error.  map, render, enumerate and verify --suite bijection load
+only the combinatorial layer; the algebraic and analytic layers are
+imported when an identities or series suite is built.
 
 Exit codes: 0 on success, 1 when a verification case fails, 2 for
 usage, parse, domain or output errors (a reader that closes the pipe

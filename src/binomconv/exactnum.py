@@ -43,10 +43,9 @@ NEG_INFINITY = float("-inf")
 
 #: Entries kept by each memo of exact sub-results: series._base,
 #: series._power, series._certificate_summand and
-#: series._certificate_multiplier, and the four memos of bijection.
-#: The default series bounds need at most 188 in one memo (the
-#: certificate summands); the limit keeps a long-lived process from
-#: growing without bound.
+#: series._certificate_multiplier.  The default series bounds need at
+#: most 188 in one memo (the certificate summands); the limit keeps a
+#: long-lived process from growing without bound.
 MEMO_SIZE = 256
 
 

@@ -286,6 +286,10 @@ def test_verify_rejects_bad_bounds(capsys):
         ["verify", "--suite", "bijection", "--n-max", "11"], capsys
     )
     assert code == 2 and "error:" in err
+    code, _, err = run_cli(
+        ["verify", "--suite", "bijection", "--n-max", "-1"], capsys
+    )
+    assert code == 2 and err == "error: n_max must be nonnegative, got -1\n"
     code, _, _ = run_cli(
         ["verify", "--suite", "series", "--order", "8"], capsys
     )

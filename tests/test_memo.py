@@ -136,7 +136,8 @@ def test_a_perturbed_binomial_fails_the_certificate_checks(cold_memos, monkeypat
 def test_certificate_memos_evict_nothing_at_the_default_bounds(cold_memos):
     assert suites.run_cases("series", suites.series_suite()).all_passed
     for memo in (series._certificate_summand, series._certificate_multiplier):
-        assert 0 < memo.cache_info().currsize < exactnum.MEMO_SIZE
+        info = memo.cache_info()
+        assert 0 < info.currsize < info.maxsize
 
 
 def test_each_offset_column_is_built_once_per_call(monkeypatch):
