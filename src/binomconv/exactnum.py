@@ -41,14 +41,6 @@ Scalar = Union[int, Fraction]
 
 NEG_INFINITY = float("-inf")
 
-#: Entries kept by each memo of exact sub-results: series._base,
-#: series._power, series._certificate_summand and
-#: series._certificate_multiplier.  The default series bounds need at
-#: most 188 in one memo (the certificate summands); the limit keeps a
-#: long-lived process from growing without bound.
-MEMO_SIZE = 256
-
-
 class OutOfRangeError(ValueError):
     """An index or order parameter lies outside its admissible range."""
 

@@ -200,8 +200,9 @@ def identities_suite(
     t_max: int = DEFAULT_BOUNDS["identities"]["t_max"],
     seed: int = DEFAULT_BOUNDS["identities"]["seed"],
 ) -> list[Case]:
-    if n_max < 0 or t_max < 1:
-        raise ValueError("need n_max >= 0 and t_max >= 1")
+    # n_max = 0 would leave difference-formula with nothing to check.
+    _require_positive("n_max", n_max)
+    _require_positive("t_max", t_max)
     # Family bounds never exceed their documented pins.
     rows = (
         ("power-of-four", power_of_four_failures, {"n_max": n_max}),
@@ -331,17 +332,12 @@ def power_additivity_failures(order: int) -> list[str]:
 
 def wz_certificate_failures(n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
-    failures = []
-    for n in range(n_max + 1):
-        for i in range(n + 2):
-            if not series.wz_certificate_check(n, i):
-                failures.append(f"n={n}, i={i}")
-    return failures
+    return [f"n={n}, i={i}" for n, i in series.wz_certificate_check(n_max)]
 
 
 def telescoped_sum_failures(n_max: int) -> list[str]:
     _require_nonnegative("n_max", n_max)
-    return [f"n={n}" for n in range(n_max + 1) if not series.telescoped_sum_check(n)]
+    return [f"n={n}" for n in series.telescoped_sum_check(n_max)]
 
 
 def series_suite(order: int = DEFAULT_BOUNDS["series"]["order"]) -> list[Case]:

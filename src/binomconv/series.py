@@ -24,11 +24,11 @@ additivity cases reuse powers the identity checks take), so the base
 series g and C and their powers are computed once per process: _base
 and _power memoize them, keyed on the series kind, the order and the
 exact exponent, after the checks (or base_power) have validated those.
-The certificate polynomials F(n, i) and G(n, i) are memoized too, each
-in its own memo keyed on the integers (n, i), so the two sides of the
-telescoping identity share no result.  A case's wall time can
-therefore depend on which cases ran before it.  Closed forms are never
-memoized, so each identity still compares two independent
+A case's wall time can therefore depend on which cases ran before it.
+Nothing else is memoized.  The certificate checks build every F(n, i)
+and G(n, i) they use once per call, in two separate tables, so the two
+sides of the telescoping identity share no result.  Closed forms are
+never memoized, so each identity still compares two independent
 computations, and neither the exp/log route nor the binomial-power
 series goes through a memo.
 
@@ -44,8 +44,6 @@ from math import factorial, gcd, perm
 from typing import Iterable
 
 from .exactnum import (
-    MEMO_SIZE,
-    OutOfRangeError,
     Polynomial,
     Scalar,
     _IntegerForm,
@@ -263,6 +261,12 @@ def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
     )
 
 
+#: Entries kept by each of _base and _power.  The default series bounds
+#: need 53 powers; the limit keeps a long-lived process from growing
+#: without bound.
+MEMO_SIZE = 256
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _base(kind: str, order: int) -> TruncatedSeries:
     """base_series(kind, order) for g or catalan, built once per order."""
@@ -397,21 +401,9 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _require_lattice_point(n: int, i: int) -> None:
-    """Certificate memo keys must be ints: 2.0 == 2 and both hash alike."""
-    if not (isinstance(n, int) and isinstance(i, int)):
-        raise OutOfRangeError("certificate indices must be integers")
-
-
 def certificate_summand(n: int, i: int) -> Polynomial:
     """F(n, i) = binomial(2n-i, n-i)*binomial(x+i-1, i), polynomial in
     the exponent variable; zero when i > n."""
-    _require_lattice_point(n, i)
-    return _certificate_summand(n, i)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _certificate_summand(n: int, i: int) -> Polynomial:
     scale = binomial(2 * n - i, n - i)
     return binomial(Polynomial((i - 1, 1)), i) * scale
 
@@ -419,12 +411,6 @@ def _certificate_summand(n: int, i: int) -> Polynomial:
 def certificate_multiplier(n: int, i: int) -> Polynomial:
     """G(n, i) = i(i+1)*binomial(2n+1-i, n+1-i)*binomial(x+i, i+1); the
     telescoping companion of the summand."""
-    _require_lattice_point(n, i)
-    return _certificate_multiplier(n, i)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _certificate_multiplier(n: int, i: int) -> Polynomial:
     scale = i * (i + 1) * binomial(2 * n + 1 - i, n + 1 - i)
     return binomial(Polynomial((i, 1)), i + 1) * scale
 
@@ -438,51 +424,59 @@ def _recurrence_step(
     )
 
 
-def wz_certificate_check(n: int, i: int) -> bool:
-    """The telescoping certificate at one lattice point.
+def wz_certificate_check(n_max: int) -> list[tuple[int, int]]:
+    """The telescoping certificate at every lattice point (n, i) with
+    n <= n_max and 0 <= i <= n + 1; the points at which it fails.
 
-    True iff, as polynomials in the exponent variable,
+    A point holds iff, as polynomials in the exponent variable,
     (2n+x+1)(2n+x+2)*F(n,i) - (n+1)(n+x+1)*F(n+1,i) = G(n,i+1) - G(n,i),
-    and the boundary values F(n, n+1), G(n, 0), G(n, n+2) all vanish.
+    and the boundary values its equation uses vanish: G(n, 0) at i = 0,
+    and F(n, n+1) and G(n, n+2) at i = n + 1.
+
+    Every F(n, i) and G(n, i) the points use is built once per call, in
+    two separate tables, so the two sides of the equation share no
+    result.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if not 0 <= i <= n + 1:
-        raise OutOfRangeError(f"i must lie in 0..{n + 1}")
-    lhs = _recurrence_step(
-        certificate_summand(n, i), certificate_summand(n + 1, i), n
-    )
-    rhs = certificate_multiplier(n, i + 1) - certificate_multiplier(n, i)
-    boundaries = (
-        certificate_summand(n, n + 1) == 0
-        and certificate_multiplier(n, 0) == 0
-        and certificate_multiplier(n, n + 2) == 0
-    )
-    return boundaries and lhs == rhs
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("n_max must be a nonnegative integer")
+    f = [
+        [certificate_summand(n, i) for i in range(min(n, n_max) + 2)]
+        for n in range(n_max + 2)
+    ]
+    g = [[certificate_multiplier(n, i) for i in range(n + 3)] for n in range(n_max + 1)]
+    return [
+        (n, i)
+        for n in range(n_max + 1)
+        for i in range(n + 2)
+        if _recurrence_step(f[n][i], f[n + 1][i], n) != g[n][i + 1] - g[n][i]
+        or (i == 0 and g[n][0] != 0)
+        or (i == n + 1 and (f[n][i] != 0 or g[n][i + 1] != 0))
+    ]
 
 
-def telescoped_sum_check(n: int) -> bool:
-    """Summing the certificate summand telescopes to a single binomial.
+def telescoped_sum_check(n_max: int) -> list[int]:
+    """Summing the certificate summand telescopes to a single binomial;
+    the n in 0..n_max at which it fails.
 
-    True iff sum over i of F(n, i) equals binomial(2n+x, n) as
-    polynomials, the value at n = 0 is 1, and both the sum and the
-    closed form satisfy the two-term recurrence the certificate encodes.
+    An n holds iff sum over i of F(n, i) equals binomial(2n+x, n) as
+    polynomials, and both the sum and the closed form satisfy the
+    two-term recurrence the certificate encodes from n to n + 1; n = 0
+    also needs the sum to be 1.  Each sum and each closed form is built
+    once per call, and the closed form never goes through F.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-
-    def total(size: int) -> Polynomial:
-        acc = Polynomial()
-        for i in range(size + 1):
-            acc = acc + certificate_summand(size, i)
-        return acc
-
-    def closed(size: int) -> Polynomial:
-        return binomial(Polynomial((2 * size, 1)), size)
-
-    return (
-        total(n) == closed(n)
-        and total(0) == 1
-        and _recurrence_step(total(n), total(n + 1), n) == 0
-        and _recurrence_step(closed(n), closed(n + 1), n) == 0
-    )
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("n_max must be a nonnegative integer")
+    sizes = range(n_max + 2)
+    totals = [
+        sum((certificate_summand(size, i) for i in range(size + 1)), Polynomial())
+        for size in sizes
+    ]
+    closed = [binomial(Polynomial((2 * size, 1)), size) for size in sizes]
+    return [
+        n
+        for n in range(n_max + 1)
+        if totals[n] != closed[n]
+        or (n == 0 and totals[0] != 1)
+        or _recurrence_step(totals[n], totals[n + 1], n) != 0
+        or _recurrence_step(closed[n], closed[n + 1], n) != 0
+    ]

@@ -290,6 +290,11 @@ def test_verify_rejects_bad_bounds(capsys):
         ["verify", "--suite", "bijection", "--n-max", "-1"], capsys
     )
     assert code == 2 and err == "error: n_max must be nonnegative, got -1\n"
+    # The difference formula has nothing to check at n_max = 0.
+    for suite in ("identities", "all"):
+        code, out, err = run_cli(["verify", "--suite", suite, "--n-max", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: n_max must be positive, got 0\n"
     code, _, _ = run_cli(
         ["verify", "--suite", "series", "--order", "8"], capsys
     )

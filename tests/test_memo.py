@@ -1,7 +1,8 @@
-"""The once-per-process memos of base series, series powers, the
-certificate polynomials and the bijection's recursive steps and section
-rewrites: they recompute nothing, refuse floats even when warm, leave
-traces whole, and let an injected fault through to the verdict."""
+"""The once-per-process memos of base series, series powers and the
+bijection's recursive steps and section rewrites, and the family checks
+that build their shared inputs once per call: they recompute nothing,
+refuse floats even when warm, leave traces whole, and let an injected
+fault through to the verdict."""
 
 from fractions import Fraction
 
@@ -12,8 +13,6 @@ from binomconv import bijection, cli, exactnum, identities, series, suites
 MEMOS = (
     series._base,
     series._power,
-    series._certificate_summand,
-    series._certificate_multiplier,
     bijection._phi_memo,
     bijection._phi_inverse_memo,
     bijection._section_forward,
@@ -57,9 +56,8 @@ def test_suite_powers_and_certificate_indices_refuse_floats_when_warm(cold_memos
         series.base_power("g", 32, 3.0)
     with pytest.raises(ValueError):
         series.base_power("g", 32.0, 3)
-    assert series.wz_certificate_check(2, 1)
     with pytest.raises(exactnum.OutOfRangeError):
-        series.wz_certificate_check(2, 1.0)
+        series.certificate_summand(2, 1.0)
     with pytest.raises(exactnum.OutOfRangeError):
         series.certificate_multiplier(2.0, 1)
 
@@ -131,13 +129,6 @@ def test_a_perturbed_binomial_fails_the_certificate_checks(cold_memos, monkeypat
     monkeypatch.setattr(series, "binomial", lambda x, k: exact(x, k) + (k == 2))
     assert suites.wz_certificate_failures(4) != []
     assert suites.telescoped_sum_failures(4) != []
-
-
-def test_certificate_memos_evict_nothing_at_the_default_bounds(cold_memos):
-    assert suites.run_cases("series", suites.series_suite()).all_passed
-    for memo in (series._certificate_summand, series._certificate_multiplier):
-        info = memo.cache_info()
-        assert 0 < info.currsize < info.maxsize
 
 
 def test_each_offset_column_is_built_once_per_call(monkeypatch):

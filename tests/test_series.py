@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 from math import comb, gcd, perm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomconv import series
-from binomconv.exactnum import Polynomial, X, OutOfRangeError, binomial
+from binomconv.exactnum import Polynomial, X, binomial
 from binomconv.series import (
     NonUnitConstantTermError,
     OrderExhaustedError,
@@ -476,24 +477,93 @@ def test_certificate_spot_values():
 
 
 def test_wz_certificate():
-    for n in range(6):
-        for i in range(n + 2):
-            assert wz_certificate_check(n, i)
+    assert wz_certificate_check(5) == []
+    assert wz_certificate_check(0) == []
 
 
 def test_wz_certificate_bounds():
-    with pytest.raises(OutOfRangeError):
-        wz_certificate_check(3, -1)
-    with pytest.raises(OutOfRangeError):
-        wz_certificate_check(3, 5)
     with pytest.raises(ValueError):
-        wz_certificate_check(-1, 0)
+        wz_certificate_check(-1)
+    with pytest.raises(ValueError):
+        wz_certificate_check(3.0)
 
 
 def test_telescoped_sum():
     assert certificate_summand(1, 0) + certificate_summand(1, 1) == X + 2
     assert binomial(Polynomial((2, 1)), 1) == X + 2
-    for n in range(9):
-        assert telescoped_sum_check(n)
+    assert telescoped_sum_check(8) == []
+    assert telescoped_sum_check(0) == []
     with pytest.raises(ValueError):
         telescoped_sum_check(-1)
+    with pytest.raises(ValueError):
+        telescoped_sum_check(3.0)
+
+
+@pytest.mark.parametrize("n0, i0", [(0, 1), (2, 1), (3, 4), (4, 2)])
+def test_one_perturbed_multiplier_fails_the_two_points_that_use_it(
+    n0, i0, monkeypatch
+):
+    exact = series.certificate_multiplier
+
+    def perturbed(n, i):
+        return exact(n, i) + ((n, i) == (n0, i0))
+
+    monkeypatch.setattr(series, "certificate_multiplier", perturbed)
+    # G(n0, i0) enters the equation at i = i0 - 1 and at i = i0.
+    assert wz_certificate_check(4) == [(n0, i0 - 1), (n0, i0)]
+
+
+@pytest.mark.parametrize("n0", [0, 3])
+def test_a_shifted_row_of_multipliers_fails_only_at_its_boundaries(n0, monkeypatch):
+    exact = series.certificate_multiplier
+
+    def shifted(n, i):
+        return exact(n, i) + (n == n0)
+
+    monkeypatch.setattr(series, "certificate_multiplier", shifted)
+    # Every difference G(n0, i+1) - G(n0, i) is unchanged; only the
+    # vanishing of G(n0, 0) and G(n0, n0+2) can see the shift.
+    assert wz_certificate_check(4) == [(n0, 0), (n0, n0 + 1)]
+
+
+def test_a_compensated_summand_fails_at_its_boundary(monkeypatch):
+    exact = series.certificate_summand
+    n0 = 2
+    shifts = {
+        (n0, n0 + 1): (n0 + 1) * Polynomial((n0 + 1, 1)),
+        (n0 + 1, n0 + 1): Polynomial((2 * n0 + 1, 1)) * Polynomial((2 * n0 + 2, 1)),
+    }
+
+    def perturbed(n, i):
+        return exact(n, i) + shifts.get((n, i), 0)
+
+    monkeypatch.setattr(series, "certificate_summand", perturbed)
+    # The two shifts cancel in the equation at (n0, n0+1), so only the
+    # vanishing of F(n0, n0+1) sees the change there.
+    assert wz_certificate_check(4) == [(n0, n0 + 1), (n0 + 1, n0 + 1)]
+
+
+def test_a_scaled_closed_form_fails_every_telescoped_sum(monkeypatch):
+    exact = series.binomial
+
+    def doubled(x, k):
+        # Only the closed form binomial(2n+x, n) has constant term 2k.
+        return exact(x, k) * (2 if x == Polynomial((2 * k, 1)) else 1)
+
+    monkeypatch.setattr(series, "binomial", doubled)
+    # The doubled closed form still satisfies the recurrence.
+    assert telescoped_sum_check(4) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("check", [wz_certificate_check, telescoped_sum_check])
+def test_each_certificate_polynomial_is_built_once_per_call(check):
+    with mock.patch.object(
+        series, "certificate_summand", wraps=certificate_summand
+    ) as summand, mock.patch.object(
+        series, "certificate_multiplier", wraps=certificate_multiplier
+    ) as multiplier:
+        assert check(6) == []
+    assert summand.called
+    for built in (summand, multiplier):
+        calls = [c.args for c in built.call_args_list]
+        assert len(set(calls)) == len(calls)
