@@ -13,13 +13,17 @@ m towers has exactly m descents, and every rewriting step here is
 reversible column by column.
 
 A configuration is stored as its compact string (alphabet .Aa1Bb2),
-and both maps run on those strings.  phi and phi_inverse validate their input once
-and then recurse on the private string-level steps; the public
-compress, expand, section and decoding functions wrap those same steps
-and check their own inputs.  Columns outside a configuration are
-compact characters too: phi_section_inverse takes a section's two
-skeleton columns as a string such as "1.", and decode_pairs reports a
-tower's color as its character, 1 or 2.
+and both maps run on those strings.  phi and phi_inverse validate their
+input once and then recurse through five string-level steps, each one
+public function: compress packs an even skeleton into half as many
+columns and expand unpacks it, phi_section_forward rewrites a section
+into a descent run and phi_section_inverse rewinds one, and
+decode_pairs reads descents back as the tower/empty pairs they encode.
+Each step also refuses input that does not have its shape, so it can be
+called on its own.  Columns outside a configuration are compact
+characters too: phi_section_inverse takes a section's two skeleton
+columns as a string such as "1.".  even_skeleton and
+tower_configuration take and return Configuration objects.
 
 Each section rewrite, and each recursive step of an untraced call, comes
 from a bounded memo of MEMO_SIZE entries, so an exhaustive
@@ -39,6 +43,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
+from typing import Iterable
 
 from .configuration import (
     ODD_CHARS,
@@ -50,7 +55,6 @@ from .configuration import (
     _one_slots,
     _only,
     _wrap,
-    is_tower_free,
 )
 
 TraceLog = list
@@ -84,7 +88,7 @@ def _note(trace: TraceLog, depth: int, label: str, value: object) -> None:
     trace.append((depth, label, str(value)))
 
 
-# ------------------------------------------------------ string-level steps
+# ------------------------------------------------ the steps, on strings
 
 _DROP_ODD = str.maketrans("", "", ODD_CHARS)
 
@@ -103,9 +107,7 @@ _TO_TWO = str.maketrans("AaBb", "BbBb")
 #: A descent of a tower-free string: color Two, then color One.  It is
 #: captured, so that splitting on it keeps it.
 _DESCENT = re.compile("([Bb][Aa])")
-#: The tower/empty pair a descent encodes: the left column in the bottom
-#: row means a color-One tower, the right column in the bottom row means
-#: the tower came first.
+#: The tower/empty pair each descent encodes; see decode_pairs.
 _DESCENT_PAIR = {"ba": "1.", "bA": ".1", "Ba": "2.", "BA": ".2"}
 
 #: A section of phi's input, captured: two consecutive tower or empty
@@ -125,25 +127,58 @@ SWEEP_LENGTH_LIMIT = 10
 MEMO_SIZE = 256
 
 
-def _compress(skeleton: str) -> str:
-    """Pack an even-length string over .12 into half as many columns."""
-    try:
-        return "".join(map(_PACK.__getitem__, map(operator.add, skeleton[::2], skeleton[1::2])))
-    except KeyError:
-        k = next(k for k in range(0, len(skeleton), 2) if skeleton[k : k + 2] not in _PACK)
-        raise MixedColumnError(
-            f"columns {k + 1} and {k + 2} of {skeleton} are towers of different colors"
-        ) from None
+def compress(skeleton: str) -> str:
+    """Halve an odd-free string by packing column pairs.
+
+    Columns 2k-1 and 2k become the top and bottom slots of output
+    column k: a tower contributes its color, an empty contributes an
+    uncolored slot.  Two towers of different colors in one pair cannot
+    be packed.
+    """
+    if not len(skeleton) % 2:
+        try:
+            return "".join(map(_PACK.__getitem__, map(operator.add, skeleton[::2], skeleton[1::2])))
+        except KeyError:
+            pass
+    for pos, char in enumerate(skeleton, start=1):
+        if char in ODD_CHARS:
+            raise HasOddColumnsError(f"column {pos} of {skeleton} is odd")
+        if char not in ".12":
+            raise BijectionError(f"column {pos} of {skeleton!r} is not a tower or empty column")
+    if len(skeleton) % 2:
+        raise BijectionError(f"{skeleton} has an odd number of columns")
+    k = next(k for k in range(0, len(skeleton), 2) if skeleton[k : k + 2] not in _PACK)
+    raise MixedColumnError(
+        f"columns {k + 1} and {k + 2} of {skeleton} are towers of different colors"
+    )
 
 
-def _expand(compressed: str) -> str:
+def expand(compressed: str) -> str:
+    """Invert compress: each column becomes a pair of tower or empty columns."""
     return compressed.translate(_UNPACK)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _section_forward(section: str, variant: int) -> str:
-    """Rewrite a section whose interior is odd; see phi_section_forward."""
+def phi_section_forward(section: str, variant: int) -> str:
+    """Rewrite one section into a descent run of odd columns.
+
+    A section has odd interior columns and ends consisting of one tower
+    (color c) and one empty, in either order.  The first output column
+    records c in its row (bottom for color One, top for Two) and is
+    colored Two; the last records the tower/empty order (bottom when the
+    tower came first) and is colored One; interiors keep their rows and
+    take color Two under variant 1, One under variant 2.  A variant-1
+    result is row-flipped on all but its last column when its first and
+    second-to-last columns disagree; variant 2 flips all but the first
+    on disagreement of the second and last.
+    """
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
+    if len(section) < 2:
+        raise MalformedSectionError("a section has at least two columns")
     first, interior, last = section[0], section[1:-1], section[-1]
+    if not _only(interior, ODD_CHARS):
+        raise MalformedSectionError(f"interior of {section} must be odd columns")
     if first in TOWER_CHARS and last == ".":
         tower_char, tower_first = first, True
     elif first == "." and last in TOWER_CHARS:
@@ -166,9 +201,25 @@ def _section_forward(section: str, variant: int) -> str:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _section_inverse(run: str, variant: int, ends: str) -> str:
-    """Rewind an odd run of two or more columns between the two skeleton
-    columns in ends; see phi_section_inverse."""
+def phi_section_inverse(run: str, variant: int, ends: str) -> str:
+    """Rewind one descent run back to a section.
+
+    The run must be odd columns with the shape of its variant: under
+    variant 1, color-Two columns followed by a single color-One column;
+    under variant 2, a single color-Two column followed by color-One
+    columns.  ends supplies the section's two end columns, which the run
+    does not encode: one column pair of the preimage's skeleton, as
+    expand gives it ("1.", "22", ".." and so on).  The output is a
+    column fragment and need not be balanced on its own.
+    """
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
+    if len(run) < 2:
+        raise MalformedSectionError("a section has at least two columns")
+    if ends not in _PACK:
+        raise MalformedSectionError(
+            f"ends {ends!r} must be two tower or empty columns that expand can give"
+        )
     if variant == 1:
         shaped = _only(run[:-1], "Bb") and run[-1] in "Aa"
     else:
@@ -181,6 +232,20 @@ def _section_inverse(run: str, variant: int, ends: str) -> str:
         flip, fill = run[-1] != run[1], _TO_TWO
     interior = run[1:-1].translate(_FLIP) if flip else run[1:-1]
     return ends[0] + interior.translate(fill) + ends[1]
+
+
+def decode_pairs(descents: Iterable[str]) -> str:
+    """The pair seed that the descents of a tower-free image spell.
+
+    Each descent, a color-Two column followed by a color-One column,
+    encodes one tower/empty pair: its left column in the bottom row
+    means a color-One tower, its right column in the bottom row means
+    the tower came first.
+    """
+    try:
+        return "".join(map(_DESCENT_PAIR.__getitem__, descents))
+    except KeyError as error:
+        raise BijectionError(f"{error.args[0]!r} is not a descent") from None
 
 
 def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
@@ -199,10 +264,10 @@ def _phi_sections(text: str, ones: int, trace: TraceLog | None, depth: int) -> s
         step = _phi_memo if len(skeleton) <= SWEEP_LENGTH_LIMIT else _phi_skeleton
         expanded = step(skeleton)
     else:
-        compressed = _compress(skeleton)
+        compressed = compress(skeleton)
         _note(trace, depth, "input", text)
         _note(trace, depth, "tower configuration", compressed)
-        expanded = _expand(_phi(compressed, trace, depth + 1))
+        expanded = expand(_phi(compressed, trace, depth + 1))
         _note(trace, depth, "expanded image", expanded)
     # The odd stretches at the even indices, the sections at the odd ones;
     # each section is replaced by its image in place.
@@ -213,7 +278,7 @@ def _phi_sections(text: str, ones: int, trace: TraceLog | None, depth: int) -> s
         end = start + len(parts[k])
         variant = 1 if end <= ones else 2
         section = expanded[k - 1] + parts[k][1:-1] + expanded[k]
-        parts[k] = image = _section_forward(section, variant)
+        parts[k] = image = phi_section_forward(section, variant)
         if trace is not None:
             _note(trace, depth, f"section {start + 1}..{end}",
                   f"variant {variant}: {section} -> {image}")
@@ -232,14 +297,14 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
         if trace is not None:
             _note(trace, depth, "fixed point", image)
         return image
-    pairs = "".join(map(_DESCENT_PAIR.__getitem__, parts[1::2]))
+    pairs = decode_pairs(parts[1::2])
     if trace is None:
         step = _phi_inverse_memo if len(pairs) <= SWEEP_LENGTH_LIMIT else _phi_inverse_seed
         skeleton = step(pairs)
     else:
         _note(trace, depth, "input", image)
         _note(trace, depth, "pair seed", pairs)
-        skeleton = _expand(_phi_inverse(_compress(pairs), trace, depth + 1))
+        skeleton = expand(_phi_inverse(compress(pairs), trace, depth + 1))
         _note(trace, depth, "skeleton", skeleton)
     tower_one_pairs = skeleton.count("1")
     previous_end = 0
@@ -260,7 +325,7 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
             rest = parts[k + 1].lstrip("Aa")
             section = parts[k] + parts[k + 1][: len(parts[k + 1]) - len(rest)]
             parts[k + 1] = rest
-        parts[k] = rebuilt = _section_inverse(section, variant, skeleton[k - 1 : k + 1])
+        parts[k] = rebuilt = phi_section_inverse(section, variant, skeleton[k - 1 : k + 1])
         if trace is not None:
             start = previous_end + len(kept) + 1
             previous_end = start + len(section) - 1
@@ -282,26 +347,26 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
 
 # The untraced recursive steps and their memos.  A step takes the
 # uncompressed skeleton or pair seed and returns the expanded result, so a
-# memo hit compresses and expands nothing.  Each step calls _phi or
-# _phi_inverse by module-global name, so a step replaced from outside is
-# the one called once the memo is cleared.
+# memo hit compresses and expands nothing.  Every step, here and in _phi
+# and _phi_inverse, is called by module-global name, so a step replaced
+# from outside is the one called once the memos are cleared.
 
 
 def _phi_skeleton(skeleton: str) -> str:
     """_phi of the compressed skeleton, expanded, untraced."""
-    return _expand(_phi(_compress(skeleton), None, 1))
+    return expand(_phi(compress(skeleton), None, 1))
 
 
 def _phi_inverse_seed(pairs: str) -> str:
     """_phi_inverse of the compressed pair seed, expanded, untraced."""
-    return _expand(_phi_inverse(_compress(pairs), None, 1))
+    return expand(_phi_inverse(compress(pairs), None, 1))
 
 
 _phi_memo = lru_cache(maxsize=MEMO_SIZE)(_phi_skeleton)
 _phi_inverse_memo = lru_cache(maxsize=MEMO_SIZE)(_phi_inverse_seed)
 
 
-# ------------------------------------------------------------- public API
+# ------------------------------------------ configurations in and out
 
 
 def even_skeleton(configuration: Configuration) -> Configuration:
@@ -309,102 +374,9 @@ def even_skeleton(configuration: Configuration) -> Configuration:
     return _wrap(configuration.text.translate(_DROP_ODD))
 
 
-def compress(skeleton: Configuration) -> Configuration:
-    """Halve an odd-free configuration by packing column pairs.
-
-    Columns 2k-1 and 2k become the top and bottom slots of output
-    column k: a tower contributes its color, an empty contributes an
-    uncolored slot.  Two towers of different colors in one pair cannot
-    be packed.
-    """
-    text = skeleton.text
-    for pos, char in enumerate(text, start=1):
-        if char in ODD_CHARS:
-            raise HasOddColumnsError(f"column {pos} of {skeleton} is odd")
-    if len(text) % 2:
-        raise BijectionError(f"{skeleton} has an odd number of columns")
-    return _wrap(_compress(text))
-
-
-def expand(compressed: Configuration) -> Configuration:
-    """Invert compress: each column becomes a tower/empty pair."""
-    return _wrap(_expand(compressed.text))
-
-
 def tower_configuration(configuration: Configuration) -> Configuration:
     """The compressed even skeleton, the object the recursion descends to."""
-    return compress(even_skeleton(configuration))
-
-
-def phi_section_forward(section: Configuration, variant: int) -> Configuration:
-    """Rewrite one section into a descent run of odd columns.
-
-    A section has odd interior columns and ends consisting of one tower
-    (color c) and one empty, in either order.  The first output column
-    records c in its row (bottom for color One, top for Two) and is
-    colored Two; the last records the tower/empty order (bottom when the
-    tower came first) and is colored One; interiors keep their rows and
-    take color Two under variant 1, One under variant 2.  A variant-1
-    result is row-flipped on all but its last column when its first and
-    second-to-last columns disagree; variant 2 flips all but the first
-    on disagreement of the second and last.
-    """
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-    text = section.text
-    if len(text) < 2:
-        raise MalformedSectionError("a section has at least two columns")
-    if not _only(text[1:-1], ODD_CHARS):
-        raise MalformedSectionError(f"interior of {section} must be odd columns")
-    return _wrap(_section_forward(text, variant))
-
-
-def phi_section_inverse(
-    section: Configuration, variant: int, skeleton: str
-) -> Configuration:
-    """Rewind one descent run back to a section.
-
-    The input must be all odd with the run shape of its variant: under
-    variant 1, color-Two columns followed by a single color-One column;
-    under variant 2, a single color-Two column followed by color-One
-    columns.  The skeleton supplies the section's end columns, which the
-    run itself does not encode, as a compact string of two tower or
-    empty columns (for example "1.").  The output is a column fragment
-    and need not be balanced on its own.
-    """
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-    text = section.text
-    if len(text) < 2:
-        raise MalformedSectionError("a section has at least two columns")
-    if not _only(text, ODD_CHARS):
-        raise MalformedSectionError(f"{section} must consist of odd columns")
-    if len(skeleton) != 2 or not _only(skeleton, ".12"):
-        raise MalformedSectionError(
-            f"skeleton {skeleton!r} must be two tower or empty columns"
-        )
-    return _wrap(_section_inverse(text, variant, skeleton))
-
-
-def decode_pairs(
-    image: Configuration,
-) -> tuple[list[tuple[int, str, bool]], Configuration]:
-    """Read the descent bookkeeping of a tower-free configuration.
-
-    Each descent at position k encodes a tower color (bottom row at k
-    means color One) and an order bit (bottom row at k+1 means the
-    tower preceded the empty).  Returns the list of
-    (position, color, tower_first) triples, each color as its tower
-    character "1" or "2", and the tower/empty pair configuration they
-    spell, one pair per descent.
-    """
-    if not is_tower_free(image):
-        raise NotTowerFreeError(f"{image} is not tower-free")
-    descents = list(_DESCENT.finditer(image.text))
-    return [
-        (match.start() + 1, "1" if match[0][0] == "b" else "2", match[0][1] == "a")
-        for match in descents
-    ], _wrap("".join([_DESCENT_PAIR[match[0]] for match in descents]))
+    return _wrap(compress(configuration.text.translate(_DROP_ODD)))
 
 
 def phi(configuration: Configuration, trace: TraceLog | None = None) -> Configuration:

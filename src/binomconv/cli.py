@@ -127,9 +127,9 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 0:
         return _fail("length must be nonnegative")
-    if args.n > suites.BIJECTION_LENGTH_LIMIT:
+    if args.n > bijection.SWEEP_LENGTH_LIMIT:
         return _fail(
-            f"enumeration is bounded at length {suites.BIJECTION_LENGTH_LIMIT}"
+            f"enumeration is bounded at length {bijection.SWEEP_LENGTH_LIMIT}"
         )
     if args.limit is not None and args.limit < 0:
         return _fail("limit must be nonnegative")

@@ -31,10 +31,6 @@ from . import bijection, configuration
 OK = "all hold"
 MAX_REPORTED_FAILURES = 4
 
-#: The longest bijection sweep; stated in bijection, whose recursion
-#: memos are bounded by it.
-BIJECTION_LENGTH_LIMIT = bijection.SWEEP_LENGTH_LIMIT
-
 #: Keyword arguments of each suite builder when no bound is given.
 DEFAULT_BOUNDS: dict[str, dict[str, int]] = {
     "bijection": {"n_max": 8},
@@ -257,7 +253,7 @@ def phi_inverse_of_compact(config: str) -> configuration.Configuration:
 def _chain_string(config: str) -> str:
     skeleton = bijection.even_skeleton(configuration.parse_compact(config))
     steps = [str(skeleton)]
-    current = bijection.compress(skeleton)
+    current = bijection.tower_configuration(skeleton)
     steps.append(str(current))
     while len(current) > 1:
         current = bijection.tower_configuration(current)
@@ -267,9 +263,9 @@ def _chain_string(config: str) -> str:
 
 def bijection_suite(n_max: int = DEFAULT_BOUNDS["bijection"]["n_max"]) -> list[Case]:
     _require_nonnegative("n_max", n_max)
-    if n_max > BIJECTION_LENGTH_LIMIT:
+    if n_max > bijection.SWEEP_LENGTH_LIMIT:
         raise ValueError(
-            f"bijection sweeps are bounded at length {BIJECTION_LENGTH_LIMIT}"
+            f"bijection sweeps are bounded at length {bijection.SWEEP_LENGTH_LIMIT}"
         )
     golden = (
         ("forward", phi_of_compact, ".A11.b2B2..", "BbAbabBaAbA"),

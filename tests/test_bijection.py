@@ -52,39 +52,47 @@ def test_even_skeleton_golden():
 
 
 def test_compress_golden():
-    assert str(compress(parse_compact(".11.22.."))) == "aA2."
-    assert str(compress(parse_compact("2."))) == "B"
-    assert str(compress(parse_compact(""))) == ""
+    assert compress(".11.22..") == "aA2."
+    assert compress("2.") == "B"
+    assert compress("") == ""
 
 
 def test_expand_golden():
-    assert str(expand(parse_compact("aA2."))) == ".11.22.."
-    assert str(expand(parse_compact("B"))) == "2."
+    assert expand("aA2.") == ".11.22.."
+    assert expand("B") == "2."
 
 
 def test_compress_rejects_odd_columns():
-    with pytest.raises(HasOddColumnsError):
-        compress(parse_compact("A1."))
+    for skeleton in ("A1.", "A.", ".b"):
+        with pytest.raises(HasOddColumnsError):
+            compress(skeleton)
 
 
 def test_compress_rejects_mixed_tower_pair():
     with pytest.raises(MixedColumnError):
-        compress(parse_compact("12.."))
+        compress("12..")
     with pytest.raises(MixedColumnError):
-        compress(parse_compact("21.."))
+        compress("21..")
 
 
 def test_compress_rejects_odd_column_count():
-    fragment = Configuration("1..")
-    with pytest.raises(BijectionError):
-        compress(fragment)
+    with pytest.raises(BijectionError) as error:
+        compress("1..")
+    assert type(error.value) is BijectionError
+    assert str(error.value) == "1.. has an odd number of columns"
+
+
+def test_compress_rejects_characters_outside_the_skeleton():
+    with pytest.raises(BijectionError) as error:
+        compress(".x")
+    assert type(error.value) is BijectionError
 
 
 def test_compress_expand_is_identity_everywhere():
     # compress(expand(c)) == c for every configuration, odd columns included.
     for length in range(4):
         for cols in itertools.product(".12AaBb", repeat=length):
-            c = Configuration("".join(cols))
+            c = "".join(cols)
             assert compress(expand(c)) == c
 
 
@@ -92,7 +100,7 @@ def test_expand_compress_is_identity_on_unmixed_pairs():
     pairs = ["1.", ".1", "2.", ".2", "11", "22", ".."]
     for length in range(4):
         for chosen in itertools.product(pairs, repeat=length):
-            c = Configuration("".join(chosen))
+            c = "".join(chosen)
             assert expand(compress(c)) == c
 
 
@@ -115,48 +123,53 @@ SECTION_FORWARD_GOLDEN = [
 
 def test_section_forward_golden():
     for section, variant, image in SECTION_FORWARD_GOLDEN:
-        assert str(phi_section_forward(parse_compact(section), variant)) == image
+        assert phi_section_forward(section, variant) == image
 
 
 def test_section_inverse_golden():
     for section, variant, image in SECTION_FORWARD_GOLDEN:
-        rebuilt = phi_section_inverse(
-            parse_compact(image), variant, section[0] + section[-1]
-        )
-        assert str(rebuilt) == section
+        assert phi_section_inverse(image, variant, section[0] + section[-1]) == section
 
 
 def test_section_forward_rejects_bad_shapes():
-    with pytest.raises(MalformedSectionError):
-        phi_section_forward(Configuration("11"), 1)
-    with pytest.raises(MalformedSectionError):
-        phi_section_forward(Configuration(".."), 1)
-    with pytest.raises(MalformedSectionError):
-        phi_section_forward(Configuration("1"), 1)
-    interior_not_odd = Configuration("1..")
+    for section in ("11", "..", "1", "", "1x"):
+        with pytest.raises(MalformedSectionError):
+            phi_section_forward(section, 1)
+    interior_not_odd = "1.."
     with pytest.raises(MalformedSectionError):
         phi_section_forward(interior_not_odd, 2)
     with pytest.raises(ValueError):
-        phi_section_forward(parse_compact("1."), 3)
+        phi_section_forward("1.", 3)
 
 
 def test_section_inverse_rejects_bad_shapes():
     ends = "1."
     with pytest.raises(MalformedSectionError):
-        phi_section_inverse(parse_compact("AB"), 1, ends)  # One before the end
+        phi_section_inverse("AB", 1, ends)  # One before the end
     with pytest.raises(MalformedSectionError):
-        phi_section_inverse(parse_compact("Bb"), 1, ends)  # no final One column
+        phi_section_inverse("Bb", 1, ends)  # no final One column
     with pytest.raises(MalformedSectionError):
-        phi_section_inverse(parse_compact("aB"), 2, ends)  # does not open with Two
+        phi_section_inverse("aB", 2, ends)  # does not open with Two
     with pytest.raises(MalformedSectionError):
-        phi_section_inverse(parse_compact("1."), 1, ends)  # not odd columns
+        phi_section_inverse("1.", 1, ends)  # not odd columns
     with pytest.raises(MalformedSectionError):
-        phi_section_inverse(Configuration("A"), 1, ends)
+        phi_section_inverse("A", 1, ends)
     with pytest.raises(ValueError):
-        phi_section_inverse(parse_compact("ba"), 0, ends)
-    for skeleton in ("1", "1..", "1A", "1x"):
+        phi_section_inverse("ba", 0, ends)
+    # Two towers of different colors are no pair that expand gives.
+    for skeleton in ("1", "1..", "1A", "1x", "12", "21"):
         with pytest.raises(MalformedSectionError):
-            phi_section_inverse(parse_compact("ba"), 1, skeleton)
+            phi_section_inverse("ba", 1, skeleton)
+
+
+def test_section_inverse_takes_every_pair_that_expand_gives():
+    # The ends come from the preimage's skeleton, not from the image:
+    # phi_inverse(BbAbabBaAbA) rewinds sections between 22 and between ..,
+    # and the sweep's inverses also between 11.
+    assert phi_inverse(parse_compact(GOLDEN_IMAGE)) == parse_compact(GOLDEN)
+    for ends in ("..", "11", "22"):
+        assert phi_section_inverse("ba", 1, ends) == ends
+        assert phi_section_inverse("BbA", 1, ends) == ends[0] + "A" + ends[1]
 
 
 def test_section_round_trip_exhaustive():
@@ -169,9 +182,9 @@ def test_section_round_trip_exhaustive():
         for ends in ("1.", ".1", "2.", ".2"):
             for size in range(0, 4):
                 for interior in itertools.product(interior_chars, repeat=size):
-                    section = Configuration(ends[0] + "".join(interior) + ends[1])
+                    section = ends[0] + "".join(interior) + ends[1]
                     image = phi_section_forward(section, variant)
-                    assert is_tower_free(image)
+                    assert not image.strip("AaBb")
                     assert len(image) == len(section)
                     rebuilt = phi_section_inverse(image, variant, ends)
                     assert rebuilt == section
@@ -193,9 +206,7 @@ def test_section_runs_round_trip_exhaustive():
                 else:
                     colors = "B" + "A" * (size - 1)
                     descent = 0
-                run = Configuration(
-                    "".join(c.lower() if low else c for c, low in zip(colors, bottom))
-                )
+                run = "".join(c.lower() if low else c for c, low in zip(colors, bottom))
                 tower_char = "1" if bottom[descent] else "2"
                 ends = tower_char + "." if bottom[descent + 1] else "." + tower_char
                 section = phi_section_inverse(run, variant, ends)
@@ -206,25 +217,18 @@ def test_section_runs_round_trip_exhaustive():
 
 
 def test_decode_pairs_golden():
-    pairs, seed = decode_pairs(parse_compact(GOLDEN_IMAGE))
-    assert [(pos, color, tower_first) for pos, color, tower_first in pairs] == [
-        (2, "1", False),
-        (4, "1", True),
-        (7, "2", True),
-        (10, "1", False),
-    ]
-    assert str(seed) == ".11.2..1"
+    # The descents of BbAbabBaAbA, at columns 2, 4, 7 and 10.
+    assert decode_pairs(["bA", "ba", "Ba", "bA"]) == ".11.2..1"
 
 
 def test_decode_pairs_fixed_point():
-    pairs, seed = decode_pairs(parse_compact("AB"))
-    assert pairs == []
-    assert str(seed) == ""
+    assert decode_pairs([]) == ""
 
 
 def test_decode_pairs_rejects_towers():
-    with pytest.raises(NotTowerFreeError):
-        decode_pairs(parse_compact("1."))
+    with pytest.raises(BijectionError) as error:
+        decode_pairs(["ba", "1."])
+    assert str(error.value) == "'1.' is not a descent"
 
 
 # -------------------------------------------------------------------- the map
@@ -305,11 +309,11 @@ def test_phi_inverse_rejects_an_unbalanced_reconstruction(monkeypatch):
 def test_phi_inverse_rejects_an_unordered_reconstruction(monkeypatch):
     # Every section is rewound as if its tower had the other color: the
     # color-One tower of 2. lands before the color-Two column it precedes.
-    exact = bijection._section_inverse
+    exact = bijection.phi_section_inverse
     swap_towers = str.maketrans("12", "21")
     monkeypatch.setattr(
         bijection,
-        "_section_inverse",
+        "phi_section_inverse",
         lambda run, variant, ends: exact(run, variant, ends.translate(swap_towers)),
     )
     with pytest.raises(NotInImageError) as error:

@@ -15,8 +15,8 @@ MEMOS = (
     series._power,
     bijection._phi_memo,
     bijection._phi_inverse_memo,
-    bijection._section_forward,
-    bijection._section_inverse,
+    bijection.phi_section_forward,
+    bijection.phi_section_inverse,
 )
 
 HALF = Fraction(1, 2)
@@ -192,12 +192,12 @@ def test_traces_keep_every_level_after_warm_memos(cold_memos, capsys):
 
 
 def test_a_perturbed_section_rewrite_fails_the_sweep(cold_memos, monkeypatch):
-    exact = bijection._section_forward
+    exact = bijection.phi_section_forward
     swap_towers = str.maketrans("12", "21")
     # Every section is rewritten as if its tower had the other color.
     monkeypatch.setattr(
         bijection,
-        "_section_forward",
+        "phi_section_forward",
         lambda section, variant: exact(section.translate(swap_towers), variant),
     )
     assert suites.exhaustive_bijection_failures(4) != []

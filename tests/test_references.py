@@ -6,6 +6,9 @@ import importlib
 from fractions import Fraction
 from pathlib import Path
 
+from binomconv import bijection
+from binomconv.configuration import parse_compact
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,6 +32,46 @@ def test_every_tracer_target_resolves():
         if not callable(obj):
             missing.append(f"{name}: {module_name}.{path}")
     assert missing == []
+
+
+def test_phi_and_phi_inverse_run_every_bijection_step_the_tracer_times(monkeypatch):
+    # A traced name that phi and phi_inverse never call would time nothing.
+    steps = [
+        path
+        for _name, module_name, path, _kind in _tracer_targets()
+        if module_name == "binomconv.bijection" and path not in ("phi", "phi_inverse")
+    ]
+    assert sorted(steps) == [
+        "compress", "decode_pairs", "expand", "phi_section_forward", "phi_section_inverse",
+    ]
+    for memo in (
+        bijection._phi_memo,
+        bijection._phi_inverse_memo,
+        bijection.phi_section_forward,
+        bijection.phi_section_inverse,
+    ):
+        memo.cache_clear()
+    calls = dict.fromkeys(steps, 0)
+
+    def counting(name):
+        exact = getattr(bijection, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return exact(*args)
+
+        return counted
+
+    for name in steps:
+        monkeypatch.setattr(bijection, name, counting(name))
+    assert str(bijection.phi(parse_compact(".A11.b2B2.."))) == "BbAbabBaAbA"
+    for image, preimage in (
+        ("ba", "1."),
+        ("BAbA", "11.."),
+        ("aBBAaaBbABBBb", "a1A1aa.A.BBBb"),
+    ):
+        assert str(bijection.phi_inverse(parse_compact(image))) == preimage
+    assert all(calls.values()), calls
 
 
 def _readme_block(heading: str) -> str:
