@@ -18,7 +18,6 @@ import importlib
 
 from .bijection import phi, phi_inverse, tower_configuration
 from .configuration import (
-    Configuration,
     analyze,
     enumerate_ordered,
     enumerate_tower_free,
@@ -38,7 +37,6 @@ _LAZY = {
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
-    "Configuration",
     "ConvolutionSpec",
     "Polynomial",
     "Rational",

@@ -12,18 +12,21 @@ Descents are the bookkeeping device: the image of a configuration with
 m towers has exactly m descents, and every rewriting step here is
 reversible column by column.
 
-A configuration is stored as its compact string (alphabet .Aa1Bb2),
-and both maps run on those strings.  phi and phi_inverse validate their
-input once and then recurse through five string-level steps, each one
-public function: compress packs an even skeleton into half as many
-columns and expand unpacks it, phi_section_forward rewrites a section
-into a descent run and phi_section_inverse rewinds one, and
-decode_pairs reads descents back as the tower/empty pairs they encode.
-Each step also refuses input that does not have its shape, so it can be
-called on its own.  Columns outside a configuration are compact
-characters too: phi_section_inverse takes a section's two skeleton
-columns as a string such as "1.".  even_skeleton and
-tower_configuration take and return Configuration objects.
+A configuration is its compact string (alphabet .Aa1Bb2), a plain str,
+and every function here takes and returns strings.  phi and
+phi_inverse check their input's shape once, and that check refuses a
+character outside the alphabet too (phi with NotOrderedError,
+phi_inverse with NotTowerFreeError); configuration.parse_compact is
+the entry point for outside input.  They then recurse through five
+string-level steps, each one public function: compress packs an even
+skeleton into half as many columns and expand unpacks it,
+phi_section_forward rewrites a section into a descent run and
+phi_section_inverse rewinds one, and decode_pairs reads descents back
+as the tower/empty pairs they encode.  Each step also refuses input
+that does not have its shape, so it can be called on its own.  Columns
+outside a configuration are compact characters too:
+phi_section_inverse takes a section's two skeleton columns as a string
+such as "1.".
 
 Each section rewrite, and each recursive step of an untraced call, comes
 from a bounded memo of MEMO_SIZE entries, so an exhaustive
@@ -48,13 +51,13 @@ from typing import Iterable
 from .configuration import (
     ODD_CHARS,
     TOWER_CHARS,
-    Configuration,
     NotOrderedError,
     _ORDERED_ONE,
     _ORDERED_TWO,
     _one_slots,
     _only,
-    _wrap,
+    _require_alphabet,
+    _require_balanced,
 )
 
 TraceLog = list
@@ -369,37 +372,37 @@ _phi_inverse_memo = lru_cache(maxsize=MEMO_SIZE)(_phi_inverse_seed)
 # ------------------------------------------ configurations in and out
 
 
-def even_skeleton(configuration: Configuration) -> Configuration:
+def even_skeleton(text: str) -> str:
     """The subsequence of tower and empty columns, in order."""
-    return _wrap(configuration.text.translate(_DROP_ODD))
+    _require_alphabet(text)
+    return text.translate(_DROP_ODD)
 
 
-def tower_configuration(configuration: Configuration) -> Configuration:
-    """The compressed even skeleton, the object the recursion descends to."""
-    return _wrap(compress(configuration.text.translate(_DROP_ODD)))
+def tower_configuration(text: str) -> str:
+    """The compressed even skeleton, the configuration the recursion
+    descends to."""
+    return compress(text.translate(_DROP_ODD))
 
 
-def phi(configuration: Configuration, trace: TraceLog | None = None) -> Configuration:
+def phi(text: str, trace: TraceLog | None = None) -> str:
     """Map an ordered configuration to its tower-free image."""
-    text = configuration.text
     empties, one_towers = text.count("."), text.count("1")
     if empties != one_towers + text.count("2"):
-        configuration.validate()  # raises InvalidSlotCountError
+        _require_balanced(text)  # raises InvalidSlotCountError
     ones = text.count("A") + text.count("a") + 2 * one_towers
     if text[:ones].strip(_ORDERED_ONE) or text[ones:].strip(_ORDERED_TWO):
-        raise NotOrderedError(f"{configuration} is not ordered")
+        raise NotOrderedError(f"{text} is not ordered")
     # Balanced, so a configuration without empties has no towers either.
     if not empties:
-        return _wrap(_phi(text, trace, 0))
-    return _wrap(_phi_sections(text, ones, trace, 0))
+        return _phi(text, trace, 0)
+    return _phi_sections(text, ones, trace, 0)
 
 
-def phi_inverse(image: Configuration, trace: TraceLog | None = None) -> Configuration:
+def phi_inverse(text: str, trace: TraceLog | None = None) -> str:
     """Map a tower-free configuration back to its ordered preimage."""
-    text = image.text
     if text.strip(ODD_CHARS):
-        raise NotTowerFreeError(f"{image} is not tower-free")
-    return _wrap(_phi_inverse(text, trace, 0))
+        raise NotTowerFreeError(f"{text} is not tower-free")
+    return _phi_inverse(text, trace, 0)
 
 
 def format_trace(trace: TraceLog) -> str:

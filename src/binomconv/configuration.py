@@ -7,15 +7,15 @@ two kinds.  A configuration of length n is balanced when exactly n of
 its 2n slots are colored, which forces the tower count to equal the
 empty count.
 
-A configuration is stored as its compact string, one character of the
-alphabet .Aa1Bb2 per column: a dot for an empty column, A/a for a
-color-One slot in the top/bottom row, B/b for color Two, and 1/2 for a
-tower of that color.  The module provides the configuration type, the
-subset-pair encoding of ordered configurations, enumeration of the two
-families that the bijection connects, parsing and a two-row grid
-rendering.  The analysis scans the compact string; the underscore
-helpers on compact strings are shared with the bijection, which runs on
-the strings too.
+A configuration is its compact string, a plain str with one character
+of the alphabet .Aa1Bb2 per column: a dot for an empty column, A/a for
+a color-One slot in the top/bottom row, B/b for color Two, and 1/2 for
+a tower of that color.  The module provides parsing, which checks the
+alphabet and balance of outside input, the subset-pair encoding of
+ordered configurations, enumeration of the two families that the
+bijection connects, the analysis and a two-row grid rendering.  The
+underscore helpers on compact strings are shared with the bijection,
+which runs on the strings too.
 """
 
 from __future__ import annotations
@@ -70,89 +70,20 @@ def _one_slots(text: str) -> int:
     return text.count("A") + text.count("a") + 2 * text.count("1")
 
 
-def _is_balanced(text: str) -> bool:
-    return text.count(".") == text.count("1") + text.count("2")
+def _require_alphabet(text: str) -> None:
+    """Refuse the first character of text outside the alphabet."""
+    if not _only(text, ALPHABET):
+        for position, char in enumerate(text, start=1):
+            if char not in ALPHABET:
+                raise BadCharacterError(
+                    f"character {char!r} at position {position} is not in the alphabet {ALPHABET}"
+                )
 
 
-def _is_ordered(text: str) -> bool:
-    """Color One only in the first k columns and color Two only after
-    them, k being the number of color-One slots."""
-    ones = _one_slots(text)
-    return _only(text[:ones], _ORDERED_ONE) and _only(text[ones:], _ORDERED_TWO)
-
-
-class Configuration:
-    """An immutable configuration, stored as its compact string.
-
-    text holds one character of the alphabet .Aa1Bb2 per column; the
-    constructor checks the alphabet and nothing else.  Balance (colored
-    slots == column count) is deliberately not checked at construction:
-    the bijection's bookkeeping builds short column fragments that are
-    not balanced on their own.  Parsing and the subset-pair constructor
-    return balanced configurations, and validate() checks balance on
-    demand.
-    """
-
-    __slots__ = ("text",)
-
-    text: str
-
-    def __init__(self, text: str):
-        if not _only(text, ALPHABET):
-            for position, char in enumerate(text, start=1):
-                if char not in ALPHABET:
-                    raise BadCharacterError(
-                        f"character {char!r} at position {position} is not in the alphabet {ALPHABET}"
-                    )
-        object.__setattr__(self, "text", text)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Configuration is immutable")
-
-    def __len__(self) -> int:
-        return len(self.text)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Configuration):
-            return self.text == other.text
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.text)
-
-    def __repr__(self) -> str:
-        return f"Configuration({self.text!r})"
-
-    def __str__(self) -> str:
-        return self.text
-
-    @property
-    def colored_slots(self) -> int:
-        return _colored_slots(self.text)
-
-    @property
-    def is_balanced(self) -> bool:
-        return _is_balanced(self.text)
-
-    def validate(self) -> "Configuration":
-        if not self.is_balanced:
-            raise InvalidSlotCountError(
-                f"{self.colored_slots} colored slots in {len(self.text)} columns"
-            )
-        return self
-
-
-#: The slot's own setter: it skips both the immutability guard of
-#: __setattr__ and the attribute lookup of object.__setattr__.
-_set_text = Configuration.text.__set__
-
-
-def _wrap(text: str) -> Configuration:
-    """The configuration stored as text, which must already be over the
-    alphabet: nothing is checked."""
-    configuration = object.__new__(Configuration)
-    _set_text(configuration, text)
-    return configuration
+def _require_balanced(text: str) -> None:
+    """Refuse text unless its colored slots equal its columns."""
+    if text.count(".") != text.count("1") + text.count("2"):
+        raise InvalidSlotCountError(f"{_colored_slots(text)} colored slots in {len(text)} columns")
 
 
 @dataclass(frozen=True)
@@ -177,8 +108,8 @@ def _positions(text: str, chars: str) -> tuple[int, ...]:
     return tuple([pos for pos, char in enumerate(text, start=1) if char in chars])
 
 
-def analyze(configuration: Configuration) -> Profile:
-    text = configuration.text
+def analyze(text: str) -> Profile:
+    _require_alphabet(text)
     ones = _one_slots(text)
     towers = _positions(text, TOWER_CHARS)
     empties = _positions(text, ".")
@@ -187,7 +118,7 @@ def analyze(configuration: Configuration) -> Profile:
         towers=towers,
         empties=empties,
         odds=_positions(text, ODD_CHARS),
-        ordered=_is_ordered(text),
+        ordered=_only(text[:ones], _ORDERED_ONE) and _only(text[ones:], _ORDERED_TWO),
         tower_free=not towers and not empties,
         descents=tuple([
             pos
@@ -195,18 +126,6 @@ def analyze(configuration: Configuration) -> Profile:
             if text[pos - 1] in TWO_CHARS and text[pos] in ONE_CHARS
         ]),
     )
-
-
-def is_ordered(configuration: Configuration) -> bool:
-    return _is_ordered(configuration.text)
-
-
-def is_tower_free(configuration: Configuration) -> bool:
-    return _only(configuration.text, ODD_CHARS)
-
-
-def descents(configuration: Configuration) -> tuple[int, ...]:
-    return analyze(configuration).descents
 
 
 def _block(width: int, subset: Iterable[int], chars: str) -> str:
@@ -249,9 +168,7 @@ def _subset(block: str) -> frozenset[int]:
     )
 
 
-def from_subset_pair(
-    i: int, j: int, ones: Iterable[int], twos: Iterable[int]
-) -> Configuration:
+def from_subset_pair(i: int, j: int, ones: Iterable[int], twos: Iterable[int]) -> str:
     """Build the ordered configuration encoded by an (i, j) subset pair.
 
     ones is an i-subset of 1..2i marking color-One slots in the left
@@ -267,22 +184,20 @@ def from_subset_pair(
         raise ConfigurationError(f"ones must be an {i}-subset of 1..{2 * i}")
     if len(twos) != j or not all(1 <= k <= 2 * j for k in twos):
         raise ConfigurationError(f"twos must be a {j}-subset of 1..{2 * j}")
-    return _wrap(_block(i, ones, ".aA1") + _block(j, twos, ".bB2"))
+    return _block(i, ones, ".aA1") + _block(j, twos, ".bB2")
 
 
-def to_subset_pair(
-    configuration: Configuration,
-) -> tuple[int, int, frozenset[int], frozenset[int]]:
-    """Recover the subset pair of an ordered configuration."""
-    profile = analyze(configuration)
+def to_subset_pair(text: str) -> tuple[int, int, frozenset[int], frozenset[int]]:
+    """Recover the subset pair of a balanced, ordered configuration."""
+    profile = analyze(text)
+    _require_balanced(text)
     if not profile.ordered:
-        raise NotOrderedError(f"{configuration} is not ordered")
+        raise NotOrderedError(f"{text} is not ordered")
     i, j = profile.type
-    text = configuration.text
     return i, j, _subset(text[:i]), _subset(text[i : i + j])
 
 
-def enumerate_ordered(n: int) -> Iterator[Configuration]:
+def enumerate_ordered(n: int) -> Iterator[str]:
     """All ordered configurations of length n, in lexicographic order of
     (i, ones-subset, twos-subset).
 
@@ -299,21 +214,24 @@ def enumerate_ordered(n: int) -> Iterator[Configuration]:
         shared = list(_blocks(j, ".bB2")) if i >= 2 else None
         for left in _blocks(i, ".aA1"):
             for right in _blocks(j, ".bB2") if shared is None else shared:
-                yield _wrap(left + right)
+                yield left + right
 
 
-def enumerate_tower_free(n: int) -> Iterator[Configuration]:
+def enumerate_tower_free(n: int) -> Iterator[str]:
     """All 4^n tower-free configurations of length n, columns ranging in
     compact-alphabet order with the leftmost column slowest."""
     if n < 0:
         raise ConfigurationError("length must be nonnegative")
     for chars in itertools.product(ODD_CHARS, repeat=n):
-        yield _wrap("".join(chars))
+        yield "".join(chars)
 
 
-def parse_compact(text: str) -> Configuration:
-    """Parse the one-character-per-column format and validate balance."""
-    return Configuration(text).validate()
+def parse_compact(text: str) -> str:
+    """Check outside input in the one-character-per-column format: its
+    alphabet, then its balance.  Returns the text itself."""
+    _require_alphabet(text)
+    _require_balanced(text)
+    return text
 
 
 #: Grid rows: O for a color-One slot, X for color Two, a dot for none.
@@ -321,16 +239,16 @@ _TOP_ROW = str.maketrans(ALPHABET, ".O.OX.X")
 _BOTTOM_ROW = str.maketrans(ALPHABET, "..OO.XX")
 
 
-def render(configuration: Configuration, mode: str = "compact") -> str:
+def render(text: str, mode: str = "compact") -> str:
     """Serialize a configuration.
 
     compact: one character per column over the alphabet .Aa1Bb2.
     grid: two newline-joined rows, O for a color-One slot, X for a
     color-Two slot, and a dot for an uncolored slot.
     """
+    _require_alphabet(text)
     if mode == "compact":
-        return configuration.text
+        return text
     if mode == "grid":
-        text = configuration.text
         return text.translate(_TOP_ROW) + "\n" + text.translate(_BOTTOM_ROW)
     raise ValueError(f"unknown render mode {mode!r}")

@@ -209,24 +209,22 @@ def exhaustive_bijection_failures(n: int) -> list[str]:
     count = 0
     for config in configuration.enumerate_ordered(n):
         count += 1
-        text = config.text
         image = bijection.phi(config)
-        image_text = image.text
-        if len(image_text) != n or image_text.strip(configuration.ODD_CHARS):
+        if len(image) != n or image.strip(configuration.ODD_CHARS):
             failures.append(f"phi({config}) = {image} is not tower-free of length {n}")
             continue
-        towers = text.count("1") + text.count("2")
-        descents = len(_TOWER_FREE_DESCENT.findall(image_text))
+        towers = config.count("1") + config.count("2")
+        descents = len(_TOWER_FREE_DESCENT.findall(image))
         if descents != towers:
             failures.append(
                 f"phi({config}) = {image} has {descents} descents for {towers} towers"
             )
-        if image_text != text and not text.strip(configuration.ODD_CHARS):
+        if image != config and not config.strip(configuration.ODD_CHARS):
             failures.append(f"tower-free {config} mapped to {image}")
         back = bijection.phi_inverse(image)
-        if back.text != text:
+        if back != config:
             failures.append(f"phi_inverse(phi({config})) = {back}")
-        hit[int("0" + image_text.translate(_RANK_DIGITS), 4)] = 1
+        hit[int("0" + image.translate(_RANK_DIGITS), 4)] = 1
     distinct = len(hit) - hit.count(0)
     if count != ordered_count(n):
         failures.append(
@@ -237,27 +235,27 @@ def exhaustive_bijection_failures(n: int) -> list[str]:
     if distinct != 4**n:
         failures.append(f"image has {distinct} elements, expected {4**n}")
     for image in configuration.enumerate_tower_free(n):
-        if bijection.phi(bijection.phi_inverse(image)).text != image.text:
+        if bijection.phi(bijection.phi_inverse(image)) != image:
             failures.append(f"phi(phi_inverse({image})) != {image}")
     return failures
 
 
-def phi_of_compact(config: str) -> configuration.Configuration:
+def phi_of_compact(config: str) -> str:
     return bijection.phi(configuration.parse_compact(config))
 
 
-def phi_inverse_of_compact(config: str) -> configuration.Configuration:
+def phi_inverse_of_compact(config: str) -> str:
     return bijection.phi_inverse(configuration.parse_compact(config))
 
 
 def _chain_string(config: str) -> str:
     skeleton = bijection.even_skeleton(configuration.parse_compact(config))
-    steps = [str(skeleton)]
+    steps = [skeleton]
     current = bijection.tower_configuration(skeleton)
-    steps.append(str(current))
+    steps.append(current)
     while len(current) > 1:
         current = bijection.tower_configuration(current)
-        steps.append(str(current))
+        steps.append(current)
     return " -> ".join(steps)
 
 

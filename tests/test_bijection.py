@@ -28,15 +28,16 @@ from binomconv.bijection import (
     tower_configuration,
 )
 from binomconv.configuration import (
-    Configuration,
+    BadCharacterError,
     InvalidSlotCountError,
     NotOrderedError,
     analyze,
     enumerate_ordered,
     enumerate_tower_free,
     from_subset_pair,
-    is_tower_free,
     parse_compact,
+    render,
+    to_subset_pair,
 )
 
 GOLDEN = ".A11.b2B2.."
@@ -260,12 +261,12 @@ def test_phi_requires_ordered_input():
 
 def test_phi_requires_balance():
     with pytest.raises(InvalidSlotCountError):
-        phi(Configuration("1"))
+        phi("1")
 
 
 def test_phi_error_messages_are_pinned():
     with pytest.raises(InvalidSlotCountError) as error:
-        phi(Configuration("1"))
+        phi("1")
     assert str(error.value) == "2 colored slots in 1 columns"
     with pytest.raises(NotOrderedError) as error:
         phi(parse_compact("BA"))
@@ -292,6 +293,29 @@ def test_phi_inverse_requires_tower_free():
         phi_inverse(parse_compact("1."))
     with pytest.raises(NotTowerFreeError):
         phi_inverse(parse_compact(".A1"))
+
+
+@pytest.mark.parametrize("text", ["x", "1x.", "Ab\n"])
+@pytest.mark.parametrize(
+    "function, refusal",
+    [
+        (parse_compact, BadCharacterError),
+        (render, BadCharacterError),
+        (analyze, BadCharacterError),
+        (to_subset_pair, BadCharacterError),
+        (even_skeleton, BadCharacterError),
+        (phi, NotOrderedError),
+        (phi_inverse, NotTowerFreeError),
+        (tower_configuration, BijectionError),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_each_configuration_function_refuses_characters_outside_the_alphabet(
+    function, refusal, text
+):
+    with pytest.raises(refusal) as error:
+        function(text)
+    assert type(error.value) is refusal
 
 
 def test_phi_inverse_rejects_an_unbalanced_reconstruction(monkeypatch):
@@ -327,7 +351,7 @@ def test_phi_is_a_bijection_exhaustively():
         for c in enumerate_ordered(n):
             image = phi(c)
             assert len(image) == n
-            assert is_tower_free(image)
+            assert analyze(image).tower_free
             assert image not in images, f"{c} and {images[image]} collide"
             images[image] = c
             profile = analyze(c)
@@ -379,7 +403,7 @@ MAP_DIGESTS = {
 
 
 def _digest(configurations) -> str:
-    return hashlib.sha256("\n".join(c.text for c in configurations).encode()).hexdigest()
+    return hashlib.sha256("\n".join(configurations).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n", sorted(MAP_DIGESTS))
@@ -391,10 +415,10 @@ def test_the_map_itself_is_pinned(n):
 def test_sweep_reports_a_collision_from_either_side(monkeypatch):
     collided = phi(parse_compact("Aa"))
 
-    def colliding_phi(configuration, trace=None):
-        if configuration.text == "1.":
+    def colliding_phi(text, trace=None):
+        if text == "1.":
             return collided
-        return phi(configuration, trace)
+        return phi(text, trace)
 
     monkeypatch.setattr(suites.bijection, "phi", colliding_phi)
     assert suites.exhaustive_bijection_failures(2) == [
@@ -474,7 +498,7 @@ def ordered_configs(draw, max_length=512):
 @settings(max_examples=80, deadline=None)
 def test_phi_round_trip_random(c):
     image = phi(c)
-    assert is_tower_free(image)
+    assert analyze(image).tower_free
     assert len(image) == len(c)
     assert phi_inverse(image) == c
     assert (image == c) == analyze(c).tower_free

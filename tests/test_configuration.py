@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 
 from binomconv.configuration import (
     BadCharacterError,
-    Configuration,
     ConfigurationError,
     InvalidSlotCountError,
     NotOrderedError,
     analyze,
-    descents,
     enumerate_ordered,
     enumerate_tower_free,
     from_subset_pair,
-    is_ordered,
-    is_tower_free,
     parse_compact,
     render,
     to_subset_pair,
@@ -34,12 +30,6 @@ GOLDEN_IMAGE = "BbAbabBaAbA"
 # -------------------------------------------------------------- configuration
 
 
-def test_configuration_is_immutable():
-    c = parse_compact("1.")
-    with pytest.raises(AttributeError):
-        c.text = ".1"
-
-
 def test_configuration_sequence_protocol():
     c = parse_compact(GOLDEN)
     assert len(c) == 11
@@ -47,8 +37,8 @@ def test_configuration_sequence_protocol():
 
 def test_configuration_stores_compact_text():
     c = parse_compact(GOLDEN)
-    assert c.text == GOLDEN
-    assert Configuration(GOLDEN) == c
+    assert type(c) is str
+    assert c == GOLDEN
 
 
 def test_configuration_equality_and_hash():
@@ -58,21 +48,11 @@ def test_configuration_equality_and_hash():
     assert parse_compact("") != "not a configuration"
 
 
-def test_unbalanced_fragments_construct_but_fail_validate():
-    fragment = Configuration("1")
-    assert not fragment.is_balanced
-    assert fragment.colored_slots == 2
-    with pytest.raises(InvalidSlotCountError):
-        fragment.validate()
-
-
 # ----------------------------------------------------------- compact alphabet
 
 
 def test_parse_golden():
-    c = parse_compact(GOLDEN)
-    assert str(c) == GOLDEN
-    assert c.is_balanced
+    assert parse_compact(GOLDEN) == GOLDEN
 
 
 def test_parse_render_round_trip():
@@ -80,16 +60,14 @@ def test_parse_render_round_trip():
         assert render(parse_compact(text)) == text
 
 
-def test_constructor_checks_the_alphabet_and_not_balance():
+def test_parse_checks_the_alphabet_before_balance():
     with pytest.raises(BadCharacterError) as error:
-        Configuration("1.x")
-    with pytest.raises(BadCharacterError) as parsed:
         parse_compact("1.x")
-    assert str(error.value) == str(parsed.value)
     assert str(error.value) == "character 'x' at position 3 is not in the alphabet .Aa1Bb2"
-    fragment = Configuration("1.1")
-    assert not fragment.is_balanced
-    assert str(fragment) == "1.1"
+    # Unbalanced as well, but the bad character is reported.
+    with pytest.raises(BadCharacterError) as error:
+        parse_compact("1.1x")
+    assert str(error.value) == "character 'x' at position 4 is not in the alphabet .Aa1Bb2"
 
 
 def test_parse_rejects_bad_characters():
@@ -103,6 +81,12 @@ def test_parse_rejects_unbalanced_strings():
     for text in (".", "1", "A.", "11", "AB."):
         with pytest.raises(InvalidSlotCountError):
             parse_compact(text)
+    with pytest.raises(InvalidSlotCountError) as error:
+        parse_compact("1")
+    assert str(error.value) == "2 colored slots in 1 columns"
+    with pytest.raises(InvalidSlotCountError) as error:
+        parse_compact("1.1")
+    assert str(error.value) == "4 colored slots in 3 columns"
 
 
 def test_render_grid():
@@ -152,6 +136,11 @@ def test_from_subset_pair_validates():
 def test_to_subset_pair_requires_ordered():
     with pytest.raises(NotOrderedError):
         to_subset_pair(parse_compact("BA"))
+    # An unbalanced string encodes no subset pair; read as one, "1" would
+    # give the pair of "AA" and ".." the pair of "".
+    for text in ("1", "1.1", "2", ".."):
+        with pytest.raises(InvalidSlotCountError):
+            to_subset_pair(text)
 
 
 @st.composite
@@ -169,8 +158,8 @@ def test_subset_pair_round_trip(pair):
     i, j, ones, twos = pair
     c = from_subset_pair(i, j, ones, twos)
     assert len(c) == i + j
-    assert c.is_balanced
-    assert is_ordered(c)
+    assert parse_compact(c) == c
+    assert analyze(c).ordered
     assert to_subset_pair(c) == (i, j, ones, twos)
 
 
@@ -204,20 +193,20 @@ def test_analyze_empty_configuration():
 
 
 def test_ordered_predicate():
-    assert is_ordered(parse_compact("AB"))
-    assert not is_ordered(parse_compact("BA"))
-    assert is_ordered(parse_compact("1.2."))
-    assert not is_ordered(parse_compact("2.1."))
+    assert analyze("AB").ordered
+    assert not analyze("BA").ordered
+    assert analyze("1.2.").ordered
+    assert not analyze("2.1.").ordered
     # A color-One column past the One block breaks order even with the
     # right slot counts per color.
-    assert not is_ordered(parse_compact(".A2B2.aB"))
+    assert not analyze(".A2B2.aB").ordered
 
 
 def test_tower_free_predicate():
-    assert is_tower_free(parse_compact("AB"))
-    assert is_tower_free(parse_compact(""))
-    assert not is_tower_free(parse_compact("1."))
-    assert descents(parse_compact("2A.")) == (1,)
+    assert analyze("AB").tower_free
+    assert analyze("").tower_free
+    assert not analyze("1.").tower_free
+    assert analyze("2A.").descents == (1,)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -239,8 +228,8 @@ def test_enumerate_ordered_contents():
         seen = set()
         for c in enumerate_ordered(n):
             assert len(c) == n
-            assert c.is_balanced
-            assert is_ordered(c)
+            assert parse_compact(c) == c
+            assert analyze(c).ordered
             seen.add(c)
         assert len(seen) == ordered_count(n)
 
@@ -281,7 +270,7 @@ ORDERED_DIGESTS = (
 def test_enumerate_ordered_items_and_order_are_pinned(n):
     digest = hashlib.sha256()
     for config in enumerate_ordered(n):
-        digest.update(config.text.encode() + b"\n")
+        digest.update(config.encode() + b"\n")
     assert digest.hexdigest() == ORDERED_DIGESTS[n]
 
 
@@ -290,7 +279,7 @@ def test_enumerate_tower_free_counts_and_order():
         items = list(enumerate_tower_free(n))
         assert len(items) == 4**n
         assert len(set(items)) == 4**n
-        assert all(is_tower_free(c) and len(c) == n for c in items)
+        assert all(analyze(c).tower_free and len(c) == n for c in items)
     items = [str(c) for c in enumerate_tower_free(2)]
     assert items[0] == "AA"
     assert items[-1] == "bb"

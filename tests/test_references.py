@@ -93,7 +93,7 @@ def test_readme_library_example_gives_the_values_in_its_comments():
             results[source] = eval(code, namespace)
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
-    assert repr(namespace["image"]) == "Configuration('BbAbabBaAbA')"
+    assert repr(namespace["image"]) == "'BbAbabBaAbA'"
     assert repr(results["convolution_sum(ConvolutionSpec(2, (0, 0)))"]) == "Fraction(16, 1)"
     assert results["convolution_sum(ConvolutionSpec(1, (Fraction(-3, 2), Fraction(3, 2))))"] == 4
     sizes = results["convolution_sums((0, 0), 3)"]
