@@ -8,7 +8,8 @@ process; a bound flag left out takes its value from
 suites.DEFAULT_BOUNDS, and a bound flag that no selected suite takes is
 a usage error.  map, render, enumerate and verify --suite bijection load
 only the combinatorial layer; the algebraic and analytic layers are
-imported when an identities or series suite is built.
+imported when an identities or series suite is built, and json only
+for verify --format json.
 
 Exit codes: 0 on success, 1 when a verification case fails, 2 for
 usage, parse, domain or output errors (a reader that closes the pipe
@@ -18,7 +19,6 @@ early included).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -167,6 +167,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(str(error))
     report = suites.run_cases(args.suite, cases)
     if args.format == "json":
+        import json
+
         payload = json.dumps(report.to_dict(), indent=2)
     else:
         payload = report.to_text()

@@ -21,8 +21,7 @@ which runs on the strings too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class ConfigurationError(ValueError):
@@ -86,9 +85,8 @@ def _require_balanced(text: str) -> None:
         raise InvalidSlotCountError(f"{_colored_slots(text)} colored slots in {len(text)} columns")
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Structural summary of a configuration.
+class Profile(NamedTuple):
+    """Structural summary of a configuration, an immutable NamedTuple.
 
     Positions are 1-based.  type is the pair (count of color-One slots,
     count of color-Two slots).  A descent position k marks a color-Two

@@ -16,6 +16,11 @@ identities and series suites live in identity_suites, which is imported
 the first time one of its names is looked up here (suites.series_suite,
 suites.power_of_four_failures, ...), so a bijection-only process loads
 only the combinatorial layer.
+
+The results and reports are immutable NamedTuples.  Case alone stays a
+frozen dataclass, because the benchmark's tracer copies each case with
+dataclasses.replace (see Case); it is the one reason this module
+imports dataclasses.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import re
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import bijection, configuration
 
@@ -46,6 +51,12 @@ class Case:
 
     With expected None, run returns a list of failure strings; otherwise
     str(result) must equal expected.
+
+    The one dataclass on the bijection path.  perfbench/tracer.py times
+    a case by wrapping it with dataclasses.replace(case, run=...) and
+    reports suites.case in trace_missing for a case of any other type,
+    which fails the traced CI step.  Case becomes a NamedTuple once the
+    tracer accepts any case with an id and a run (ROADMAP item 1).
     """
 
     id: str
@@ -58,8 +69,9 @@ class Case:
         return {key: str(value) for key, value in self.kwargs.items()}
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
+    """The verdict of one case, an immutable NamedTuple."""
+
     id: str
     inputs: dict[str, str]
     expected: str
@@ -67,8 +79,9 @@ class CaseResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
+    """The verdicts of one run, in case order, an immutable NamedTuple."""
+
     suite: str
     cases: tuple[CaseResult, ...]
     wall_time: float
