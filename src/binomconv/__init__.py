@@ -12,6 +12,10 @@ Importing the package loads only the combinatorial layer.  The modules
 exactnum, identities and series, and the names taken from them below,
 are imported the first time they are looked up (PEP 562), so the
 bijection commands never load the algebraic and analytic layers.
+The algebraic layer takes plain offsets, ints or Fractions:
+convolution_sums(offsets, n_max) validates them and builds the sums of
+sizes 0..n_max, and convolution_sum(offsets, n) reads the one at n.
+The algebraic and analytic layers load no dataclasses.
 """
 
 import importlib
@@ -30,16 +34,14 @@ from .configuration import (
 #: The public names of the algebraic and analytic layers, by the module
 #: that defines them; each module is imported on first lookup.
 _LAZY = {
-    "exactnum": ("Polynomial", "Rational", "binomial", "falling_factorial"),
-    "identities": ("ConvolutionSpec", "closed_form", "convolution_sum", "convolution_sums"),
+    "exactnum": ("Polynomial", "binomial", "falling_factorial"),
+    "identities": ("closed_form", "convolution_sum", "convolution_sums"),
     "series": ("TruncatedSeries", "base_series", "series_pow"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
-    "ConvolutionSpec",
     "Polynomial",
-    "Rational",
     "TruncatedSeries",
     "analyze",
     "base_series",

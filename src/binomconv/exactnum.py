@@ -35,8 +35,6 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 NEG_INFINITY = float("-inf")

@@ -22,18 +22,20 @@ both of its rewritings on math.comb, over plain integers, with no
 Fraction until the result.  The truncated product behind a
 convolution sum of size n holds the sums of every size up to n, so
 convolution_sums returns a whole sweep over sizes from one product,
-not one product per size.
+not one product per size.  It is the one function that validates
+offsets (plain ints or Fractions) and a size and builds a sum;
+convolution_sum(offsets, n) reads entry n of its list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Iterable, Union
+from typing import Iterable
 
 from .exactnum import (
     Polynomial,
+    PolyOrScalar,
     Scalar,
     binomial,
     exact_rational,
@@ -42,26 +44,6 @@ from .exactnum import (
     integer_convolution,
     over_factorial_scales,
 )
-
-
-@dataclass(frozen=True)
-class ConvolutionSpec:
-    """Width n and the offset vector of a convolution sum."""
-
-    n: int
-    offsets: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError("n must be a nonnegative integer")
-        offsets = tuple(map(exact_rational, self.offsets))
-        if not offsets:
-            raise ValueError("at least one offset is required")
-        object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def width(self) -> int:
-        return len(self.offsets)
 
 
 def _offset_column(offset: Fraction, n: int) -> tuple[list[int], int]:
@@ -79,53 +61,39 @@ def _offset_column(offset: Fraction, n: int) -> tuple[list[int], int]:
     return over_factorial_scales(tops, q)
 
 
-def _convolution_prefix(
-    offsets: tuple[Fraction, ...], n: int
-) -> tuple[list[int], int]:
-    """The convolution sums of sizes 0..n, as integers over one scale.
-
-    Computed by iterated truncated sequence convolution rather than by
-    enumerating compositions, so the cost is t*n^2 exact products.  Each
-    distinct offset's column is built once, directly as integers over
-    one scale (_offset_column, which never calls exactnum.binomial, so
-    closed_form stays a separate route), the convolutions run over
-    integers (exactnum.integer_convolution), and the scale is the
-    product of the column scales.
-    """
-    columns = {offset: _offset_column(offset, n) for offset in set(offsets)}
-    acc, scale = columns[offsets[0]]
-    for offset in offsets[1:]:
-        col, col_scale = columns[offset]
-        acc = integer_convolution(acc, col, n + 1)
-        scale *= col_scale
-    return acc, scale
-
-
-def convolution_sum(spec: ConvolutionSpec) -> Fraction:
-    """The t-fold convolution sum of offset central binomial columns,
-    at the single size spec.n.
-
-    Builds the whole truncated product up to spec.n and reads its last
-    entry; a sweep over sizes 0..N takes all of them from one product
-    through convolution_sums instead.
-    """
-    acc, scale = _convolution_prefix(spec.offsets, spec.n)
-    return Fraction(acc[spec.n], scale)
-
-
 def convolution_sums(offsets: Iterable[Scalar], n_max: int) -> list[Fraction]:
     """The convolution sums S(0; offsets)..S(n_max; offsets), from one
     truncated product.
 
-    Entry m of the product is S(m) over the same scale at every m (for
-    an offset p/q, q^n_max*n_max! per factor), so each entry is the
-    exact value convolution_sum gives at size m.  Validated as
-    ConvolutionSpec(n_max, offsets): a negative or non-integer n_max,
-    no offsets or a float offset is refused.
+    Computed by iterated truncated sequence convolution rather than by
+    enumerating compositions, so the cost is t*n_max^2 exact products.
+    Each distinct offset's column is built once, directly as integers
+    over one scale (_offset_column, which never calls
+    exactnum.binomial, so closed_form stays a separate route), the
+    convolutions run over integers (exactnum.integer_convolution), and
+    the scale is the product of the column scales.  Entry m of the
+    product is S(m) over the same scale at every m (for an offset p/q,
+    q^n_max*n_max! per factor).  A negative or non-integer n_max or no
+    offsets is a ValueError, a float offset a TypeError.
     """
-    spec = ConvolutionSpec(n_max, tuple(offsets))
-    acc, scale = _convolution_prefix(spec.offsets, n_max)
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("n must be a nonnegative integer")
+    offsets = tuple(map(exact_rational, offsets))
+    if not offsets:
+        raise ValueError("at least one offset is required")
+    columns = {offset: _offset_column(offset, n_max) for offset in set(offsets)}
+    acc, scale = columns[offsets[0]]
+    for offset in offsets[1:]:
+        col, col_scale = columns[offset]
+        acc = integer_convolution(acc, col, n_max + 1)
+        scale *= col_scale
     return [Fraction(value, scale) for value in acc]
+
+
+def convolution_sum(offsets: Iterable[Scalar], n: int) -> Fraction:
+    """The convolution sum S(n; offsets): the last entry of
+    convolution_sums(offsets, n), which a sweep over sizes reads whole."""
+    return convolution_sums(offsets, n)[n]
 
 
 def closed_form(n: int, t: Scalar) -> Fraction:
@@ -158,21 +126,18 @@ def recurrence_check(t: int, n_max: int) -> list[int]:
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
 
-    wide = convolution_sums((Fraction(0),) * (t + 2), n_max + 1)
-    narrow = convolution_sums((Fraction(0),) * t, n_max + 1)
+    wide = convolution_sums((0,) * (t + 2), n_max + 1)
+    narrow = convolution_sums((0,) * t, n_max + 1)
     return [
         n for n in range(n_max + 1) if wide[n + 1] != narrow[n + 1] + 4 * wide[n]
     ]
-
-
-PolyOrRational = Union[Polynomial, Fraction, int]
 
 
 class RewritingMismatchError(ValueError):
     """Two rewritings of one inclusion-exclusion summand disagree."""
 
 
-def inclusion_exclusion_sum(L: PolyOrRational, p: int) -> PolyOrRational:
+def inclusion_exclusion_sum(L: PolyOrScalar, p: int) -> PolyOrScalar:
     """Alternating sum over i of binomial(L-i, p-i)*binomial(L-p, i).
 
     Identically 1: as a polynomial when L is symbolic, and numerically
@@ -190,7 +155,7 @@ def inclusion_exclusion_sum(L: PolyOrRational, p: int) -> PolyOrRational:
         L = exact_rational(L)
         if L.denominator == 1:
             return _integer_inclusion_exclusion_sum(int(L), p)
-    total: PolyOrRational = Polynomial() if symbolic else Fraction(0)
+    total: PolyOrScalar = Polynomial() if symbolic else Fraction(0)
     for i in range(p + 1):
         term = binomial(L - i, p - i) * binomial(L - p, i)
         total = total - term if i % 2 else total + term
@@ -219,14 +184,14 @@ def opposite_offsets_check(n: int, L: Scalar) -> bool:
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     L = exact_rational(L)
-    return convolution_sum(ConvolutionSpec(n, (-L, L))) == Fraction(4) ** n
+    return convolution_sum((-L, L), n) == Fraction(4) ** n
 
 
 def shift_invariance_poly(n: int, a: Scalar) -> Polynomial:
     """The two-fold sum with offsets (a - x, x), as a polynomial in x.
 
     Contract: degree <= 0, with constant value equal to the unshifted
-    sum convolution_sum(n, [a, 0]).
+    sum convolution_sum((a, 0), n).
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
@@ -278,7 +243,7 @@ def delta_formula_check(n: int, a: Scalar) -> list[str]:
     for index, entry in enumerate(entries):
         term = entry.taylor_shift(-2 * index) * comb(n, index)
         bridge = bridge - term if index % 2 else bridge + term
-    target = factorial(n) * convolution_sum(ConvolutionSpec(n, (a, Fraction(0))))
+    target = factorial(n) * convolution_sum((a, 0), n)
     if bridge != target:
         failures.append("bridge")
     return failures

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from binomconv import identities, suites
 from binomconv.exactnum import Polynomial, X, binomial
 from binomconv.identities import (
-    ConvolutionSpec,
     RewritingMismatchError,
     closed_form,
     convolution_sum,
@@ -36,12 +35,12 @@ def weak_compositions(n, parts):
             yield (head, *rest)
 
 
-def composition_oracle(spec: ConvolutionSpec) -> Fraction:
+def composition_oracle(offsets, n: int) -> Fraction:
     """Literal sum over compositions; exponential, test-only."""
     total = Fraction(0)
-    for combo in weak_compositions(spec.n, spec.width):
+    for combo in weak_compositions(n, len(offsets)):
         term = Fraction(1)
-        for m, offset in zip(combo, spec.offsets):
+        for m, offset in zip(combo, offsets):
             term *= binomial(2 * m + offset, m)
         total += term
     return total
@@ -50,27 +49,12 @@ def composition_oracle(spec: ConvolutionSpec) -> Fraction:
 # ----------------------------------------------------------- convolution sums
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ConvolutionSpec(-1, (Fraction(0),))
-    with pytest.raises(ValueError):
-        ConvolutionSpec(2, ())
-    with pytest.raises(ValueError):
-        ConvolutionSpec(Fraction(2), (Fraction(0),))
-    with pytest.raises(TypeError):
-        ConvolutionSpec(2, (0.5, -0.5))
-    spec = ConvolutionSpec(2, (1, Fraction(-1, 2)))
-    assert spec.offsets == (Fraction(1), Fraction(-1, 2))
-    assert all(isinstance(o, Fraction) for o in spec.offsets)
-    assert spec.width == 2
-
-
 def test_convolution_sum_examples():
-    assert convolution_sum(ConvolutionSpec(2, (0, 0))) == 16
-    assert convolution_sum(ConvolutionSpec(2, (1, -1))) == 16
-    assert convolution_sum(ConvolutionSpec(1, (Fraction(-3, 2), Fraction(3, 2)))) == 4
-    assert convolution_sum(ConvolutionSpec(3, (0,))) == 20  # central binomial
-    assert convolution_sum(ConvolutionSpec(0, (5, -7, Fraction(1, 3)))) == 1
+    assert convolution_sum((0, 0), 2) == 16
+    assert convolution_sum((1, -1), 2) == 16
+    assert convolution_sum((Fraction(-3, 2), Fraction(3, 2)), 1) == 4
+    assert convolution_sum((0,), 3) == 20  # central binomial
+    assert convolution_sum((5, -7, Fraction(1, 3)), 0) == 1
 
 
 def test_convolution_sum_matches_composition_enumeration():
@@ -88,8 +72,7 @@ def test_convolution_sum_matches_composition_enumeration():
     ]
     for offsets in offset_menus:
         for n in range(7):
-            spec = ConvolutionSpec(n, offsets)
-            assert convolution_sum(spec) == composition_oracle(spec)
+            assert convolution_sum(offsets, n) == composition_oracle(offsets, n)
 
 
 @given(
@@ -98,8 +81,7 @@ def test_convolution_sum_matches_composition_enumeration():
 )
 @settings(max_examples=50, deadline=None)
 def test_convolution_sum_matches_oracle_random(n, offsets):
-    spec = ConvolutionSpec(n, tuple(offsets))
-    assert convolution_sum(spec) == composition_oracle(spec)
+    assert convolution_sum(offsets, n) == composition_oracle(offsets, n)
 
 
 #: Offsets p/q with every denominator q from 1 to 6.
@@ -121,19 +103,27 @@ def test_convolution_sums_match_each_single_sum(n_max, offsets):
     assert len(sums) == n_max + 1
     for m, value in enumerate(sums):
         assert type(value) is Fraction
-        assert value == convolution_sum(ConvolutionSpec(m, tuple(offsets)))
+        assert value == convolution_sum(offsets, m)
 
 
-def test_convolution_sums_validation():
+@pytest.mark.parametrize("build", [convolution_sums, convolution_sum])
+def test_convolution_sums_validation(build):
     with pytest.raises(ValueError):
-        convolution_sums((Fraction(0),), -1)
+        build((Fraction(0),), -1)
     with pytest.raises(ValueError):
-        convolution_sums((), 3)
+        build((Fraction(0),), Fraction(2))
+    with pytest.raises(ValueError):
+        build((), 2)
     with pytest.raises(TypeError):
-        convolution_sums((0.5, -0.5), 3)
-    with pytest.raises(ValueError):
-        convolution_sums((Fraction(0),), Fraction(3))
+        build((0.5, -0.5), 2)
+    # Int offsets are accepted and read as the Fractions they equal.
+    assert build((1, -1), 2) == build((Fraction(1), Fraction(-1)), 2)
+
+
+def test_convolution_sums_of_size_zero():
     assert convolution_sums((0, 0), 0) == [1]
+    assert convolution_sum((0, 0), 0) == 1
+    assert type(convolution_sum((1, Fraction(-1, 2)), 2)) is Fraction
 
 
 def test_convolution_sums_never_call_the_closed_form_route():
@@ -146,8 +136,8 @@ def test_convolution_sums_never_call_the_closed_form_route():
 @given(n=st.integers(0, 5), offsets=st.lists(rational_offsets, min_size=2, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_convolution_sum_is_offset_order_invariant(n, offsets):
-    forward = convolution_sum(ConvolutionSpec(n, tuple(offsets)))
-    backward = convolution_sum(ConvolutionSpec(n, tuple(reversed(offsets))))
+    forward = convolution_sum(offsets, n)
+    backward = convolution_sum(offsets[::-1], n)
     assert forward == backward
 
 
@@ -206,8 +196,7 @@ def test_closed_form_examples():
 def test_closed_form_matches_zero_offset_sums():
     for t in range(1, 6):
         for n in range(9):
-            spec = ConvolutionSpec(n, (Fraction(0),) * t)
-            assert convolution_sum(spec) == closed_form(n, t)
+            assert convolution_sum((0,) * t, n) == closed_form(n, t)
 
 
 def test_two_fold_zero_offset_sum_is_a_power_of_four():
@@ -369,7 +358,7 @@ def test_shift_invariance_is_constant_in_the_shift():
         for a in SHIFT_PARAMETERS:
             poly = shift_invariance_poly(n, a)
             assert poly.is_constant
-            assert poly == convolution_sum(ConvolutionSpec(n, (a, Fraction(0))))
+            assert poly == convolution_sum((a, 0), n)
     with pytest.raises(ValueError):
         shift_invariance_poly(-1, 0)
 
@@ -398,7 +387,9 @@ def test_delta_formula_rejects_out_of_range_orders():
 
 def test_an_off_by_one_convolution_sum_fails_the_difference_formula(monkeypatch):
     exact = identities.convolution_sum
-    monkeypatch.setattr(identities, "convolution_sum", lambda spec: exact(spec) + 1)
+    monkeypatch.setattr(
+        identities, "convolution_sum", lambda offsets, n: exact(offsets, n) + 1
+    )
     assert delta_formula_check(2, Fraction(1, 2)) == ["bridge"]
     # A broken bridge is reported once per (n, a), not at every (i, m).
     failures = suites.difference_formula_failures(3)

@@ -1,12 +1,15 @@
 """The package loads its algebraic and analytic layers only on first use:
 the bijection commands run without them, and every public name still
-resolves through the package and through suites.  The combinatorial
-layer loads no dataclasses, suites loads it for Case alone, and json
-loads only for verify --format json."""
+resolves through the package and through suites.  The combinatorial,
+algebraic and analytic layers load no dataclasses, suites loads it for
+Case alone, the one dataclass in the package, and json loads only for
+verify --format json."""
 
 import ast
 import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,19 +84,41 @@ def test_the_combinatorial_layer_loads_no_dataclasses(module):
     assert loaded(f"import {module}", ["dataclasses"]) == []
 
 
+@pytest.mark.parametrize(
+    "module", ["binomconv.exactnum", "binomconv.identities", "binomconv.series"]
+)
+def test_the_algebraic_and_analytic_layers_load_no_dataclasses(module):
+    assert loaded(f"import {module}", ["dataclasses"]) == []
+
+
 def test_suites_loads_dataclasses_for_its_case():
     assert loaded("import binomconv.suites", ["dataclasses"]) == ["dataclasses"]
 
 
-def test_case_is_the_only_dataclass_on_the_bijection_path():
-    found = [
+def dataclasses_defined_in(modules) -> list[str]:
+    """The dataclasses that the given modules define, by qualified name."""
+    return [
         f"{module.__name__}.{name}"
-        for module in (configuration, bijection, suites, cli)
+        for module in modules
         for name, value in vars(module).items()
         if isinstance(value, type)
         and value.__module__ == module.__name__
         and dataclasses.is_dataclass(value)
     ]
+
+
+def test_case_is_the_only_dataclass_on_the_bijection_path():
+    modules = (configuration, bijection, suites, cli)
+    assert dataclasses_defined_in(modules) == ["binomconv.suites.Case"]
+
+
+def test_case_is_the_only_dataclass_in_the_package():
+    modules = [
+        importlib.import_module(f"binomconv.{info.name}")
+        for info in pkgutil.iter_modules(binomconv.__path__)
+    ]
+    assert {module.__name__ for module in modules} >= set(LATER_LAYERS[2:])
+    found = dataclasses_defined_in([binomconv, *modules])
     assert found == ["binomconv.suites.Case"]
 
 

@@ -133,23 +133,24 @@ def test_a_perturbed_binomial_fails_the_certificate_checks(cold_memos, monkeypat
 
 def test_each_offset_column_is_built_once_per_call(monkeypatch):
     calls = count_calls(monkeypatch, identities, "_offset_column")
-    spec = identities.ConvolutionSpec(6, (Fraction(0),) * 5)
-    assert identities.convolution_sum(spec) == identities.closed_form(6, 5)
+    assert identities.convolution_sum((0,) * 5, 6) == identities.closed_form(6, 5)
     assert calls == [(Fraction(0), 6)]
 
 
 def test_each_sweep_builds_one_truncated_product_per_offset_vector(monkeypatch):
-    calls = count_calls(monkeypatch, identities, "_convolution_prefix")
+    calls = count_calls(monkeypatch, identities, "convolution_sums")
     zeros = (Fraction(0),) * 3
     assert suites.power_of_four_failures(12) == []
     assert suites.reindexed_offset_pair_failures(12) == []
     assert suites.zero_offset_closed_form_failures(3, 12) == []
+    assert suites.shift_invariance_failures(12) == []
     assert calls == [
         (zeros[:2], 12),
         ((Fraction(1), Fraction(-1)), 12),
         (zeros[:1], 12),
         (zeros[:2], 12),
         (zeros, 12),
+        *(((a, 0), 12) for a in suites.SHIFT_PARAMETERS),
     ]
 
 

@@ -1,5 +1,6 @@
 """Names and examples that files outside the package rely on: the
-benchmark tracer's targets and README's library example."""
+benchmark tracer's targets, README's library example, and (for CI's
+python -O runs) a package that checks nothing with assert."""
 
 import ast
 import importlib
@@ -94,9 +95,21 @@ def test_readme_library_example_gives_the_values_in_its_comments():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert repr(namespace["image"]) == "'BbAbabBaAbA'"
-    assert repr(results["convolution_sum(ConvolutionSpec(2, (0, 0)))"]) == "Fraction(16, 1)"
-    assert results["convolution_sum(ConvolutionSpec(1, (Fraction(-3, 2), Fraction(3, 2))))"] == 4
+    assert repr(results["convolution_sum((0, 0), 2)"]) == "Fraction(16, 1)"
+    assert results["convolution_sum((Fraction(-3, 2), Fraction(3, 2)), 1)"] == 4
     sizes = results["convolution_sums((0, 0), 3)"]
     assert sizes == [1, 4, 16, 64]
     assert all(type(value) is Fraction for value in sizes)
     assert repr(results["closed_form(2, 3)"]) == "Fraction(30, 1)"
+
+
+def test_no_module_checks_with_assert():
+    # python -O strips assert statements, so a check made with one would
+    # pass vacuously there.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "binomconv").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
