@@ -25,6 +25,8 @@ convolution sums both use it; no check compares an offset column with
 a series, so that sharing makes no cross-check a tautology.
 Convolution sums build their offset columns as integers without
 binomial, so they share no arithmetic with identities.closed_form.
+require_count is the one check of a count (a size, width, order,
+exponent or index) here and in identities and series.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ NEG_INFINITY = float("-inf")
 
 class OutOfRangeError(ValueError):
     """An index or order parameter lies outside its admissible range."""
+
+
+def require_count(name: str, value: object, least: int = 0) -> None:
+    """Refuse value unless it is an int >= least (0 or 1): the
+    OutOfRangeError says "{name} must be a nonnegative integer", or
+    "positive" when least is 1."""
+    if not isinstance(value, int) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise OutOfRangeError(f"{name} must be a {kind} integer")
 
 
 def exact_rational(value: object) -> Fraction:
@@ -213,8 +224,7 @@ class Polynomial(_IntegerForm):
         return len(self._num) - 1 if self._num else NEG_INFINITY
 
     def coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            raise OutOfRangeError("coefficient index must be nonnegative")
+        require_count("k", k)
         return Fraction(self._num[k], self._den) if k < len(self._num) else Fraction(0)
 
     @property
@@ -254,8 +264,7 @@ class Polynomial(_IntegerForm):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise OutOfRangeError("polynomial powers take nonnegative integer exponents")
+        require_count("exponent", exponent)
         result = Polynomial._from_integers((1,), 1)
         for _ in range(exponent):
             result = result * self
@@ -354,8 +363,7 @@ def _falling_numerators(x: Polynomial, k: int) -> list[int]:
 
 def falling_factorial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
     """Product x(x-1)...(x-k+1); the empty product (k=0) is 1."""
-    if not isinstance(k, int) or k < 0:
-        raise OutOfRangeError("falling factorial length must be a nonnegative integer")
+    require_count("k", k)
     if isinstance(x, Polynomial):
         return Polynomial._from_integers(_falling_numerators(x, k), x._den**k)
     x = exact_rational(x)
@@ -386,8 +394,7 @@ def finite_difference(
     f: Callable[[int], PolyOrScalar], m: int, i: int
 ) -> Union[Fraction, Polynomial]:
     """m-fold forward difference of the sequence f, evaluated at index i."""
-    if not isinstance(m, int) or m < 0:
-        raise OutOfRangeError("difference order must be a nonnegative integer")
+    require_count("m", m)
     total = None
     for r in range(m + 1):
         term = f(i + r) * comb(m, r)

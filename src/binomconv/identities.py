@@ -23,8 +23,10 @@ Fraction until the result.  The truncated product behind a
 convolution sum of size n holds the sums of every size up to n, so
 convolution_sums returns a whole sweep over sizes from one product,
 not one product per size.  It is the one function that validates
-offsets (plain ints or Fractions) and a size and builds a sum;
-convolution_sum(offsets, n) reads entry n of its list.
+offsets (plain ints or Fractions) and builds a sum;
+convolution_sum(offsets, n) reads entry n of its list.  Every size,
+width and index is checked by exactnum.require_count, so a bad one is
+an OutOfRangeError that names the function's own parameter.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .exactnum import (
     finite_difference,
     integer_convolution,
     over_factorial_scales,
+    require_count,
 )
 
 
@@ -73,11 +76,10 @@ def convolution_sums(offsets: Iterable[Scalar], n_max: int) -> list[Fraction]:
     convolutions run over integers (exactnum.integer_convolution), and
     the scale is the product of the column scales.  Entry m of the
     product is S(m) over the same scale at every m (for an offset p/q,
-    q^n_max*n_max! per factor).  A negative or non-integer n_max or no
-    offsets is a ValueError, a float offset a TypeError.
+    q^n_max*n_max! per factor).  A negative or non-integer n_max is an
+    OutOfRangeError, no offsets a ValueError, a float offset a TypeError.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n must be a nonnegative integer")
+    require_count("n_max", n_max)
     offsets = tuple(map(exact_rational, offsets))
     if not offsets:
         raise ValueError("at least one offset is required")
@@ -93,13 +95,13 @@ def convolution_sums(offsets: Iterable[Scalar], n_max: int) -> list[Fraction]:
 def convolution_sum(offsets: Iterable[Scalar], n: int) -> Fraction:
     """The convolution sum S(n; offsets): the last entry of
     convolution_sums(offsets, n), which a sweep over sizes reads whole."""
+    require_count("n", n)
     return convolution_sums(offsets, n)[n]
 
 
 def closed_form(n: int, t: Scalar) -> Fraction:
     """4^n * binomial(n + t/2 - 1, n), the zero-offset sum in closed form."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    require_count("n", n)
     t = exact_rational(t)
     return Fraction(4) ** n * binomial(n + t / 2 - 1, n)
 
@@ -107,8 +109,8 @@ def closed_form(n: int, t: Scalar) -> Fraction:
 def odd_t_forms(n: int, L: int) -> bool:
     """For odd width t = 2L+1 the closed form has two all-integer-binomial
     rewritings; true iff all three expressions agree."""
-    if n < 0 or L < 0:
-        raise ValueError("n and L must be nonnegative integers")
+    require_count("n", n)
+    require_count("L", L)
     lhs = closed_form(n, 2 * L + 1)
     first = binomial(2 * n + 2 * L, 2 * n) / binomial(n + L, n) * binomial(2 * n, n)
     second = binomial(2 * n + 2 * L, n + L) / binomial(2 * L, L) * binomial(n + L, n)
@@ -121,11 +123,8 @@ def recurrence_check(t: int, n_max: int) -> list[int]:
 
     Each width's sums of sizes 0..n_max+1 come from one truncated
     product."""
-    if not isinstance(t, int) or t < 1:
-        raise ValueError("t must be a positive integer")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
-
+    require_count("t", t, least=1)
+    require_count("n_max", n_max)
     wide = convolution_sums((0,) * (t + 2), n_max + 1)
     narrow = convolution_sums((0,) * t, n_max + 1)
     return [
@@ -148,8 +147,7 @@ def inclusion_exclusion_sum(L: PolyOrScalar, p: int) -> PolyOrScalar:
     runs both forms over plain integers (math.comb) and returns the
     total as a Fraction.
     """
-    if not isinstance(p, int) or p < 0:
-        raise ValueError("p must be a nonnegative integer")
+    require_count("p", p)
     symbolic = isinstance(L, Polynomial)
     if not symbolic:
         L = exact_rational(L)
@@ -181,8 +179,7 @@ def _integer_inclusion_exclusion_sum(L: int, p: int) -> Fraction:
 def opposite_offsets_check(n: int, L: Scalar) -> bool:
     """A cancelling offset pair changes nothing: the two-fold sum with
     offsets [-L, L] equals 4^n for every rational L."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    require_count("n", n)
     L = exact_rational(L)
     return convolution_sum((-L, L), n) == Fraction(4) ** n
 
@@ -193,8 +190,7 @@ def shift_invariance_poly(n: int, a: Scalar) -> Polynomial:
     Contract: degree <= 0, with constant value equal to the unshifted
     sum convolution_sum((a, 0), n).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    require_count("n", n)
     a = exact_rational(a)
     total = Polynomial()
     for i in range(n + 1):
@@ -222,9 +218,8 @@ def delta_formula_check(n: int, a: Scalar) -> list[str]:
     Its failure is reported as "bridge".  The entries and their factors
     are built once and shared by every check.
     """
-    if not isinstance(n, int) or n < 1:
-        # Size 0 has no (i, m), so it would pass without checking anything.
-        raise ValueError("n must be a positive integer")
+    # Size 0 has no (i, m), so it would pass without checking anything.
+    require_count("n", n, least=1)
     a = exact_rational(a)
     # leads[k] = (x - a + k - 1) falling k, tails[k] = (x + 2n) falling k
     leads = [falling_factorial(Polynomial((k - 1 - a, 1)), k) for k in range(n + 1)]

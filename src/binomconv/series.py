@@ -20,12 +20,13 @@ Miller's, so the two routes to a power share no arithmetic loop.
 
 The series cases ask for the same few powers of g and C over and over
 (g^3 serves every parameter of the gC variant, and the route, law and
-additivity cases reuse powers the identity checks take), so the base
-series g and C and their powers are computed once per process: _base
-and _power memoize them, keyed on the series kind, the order and the
-exact exponent, after the checks (or base_power) have validated those.
-A case's wall time can therefore depend on which cases ran before it.
-Nothing else is memoized.  The certificate checks build every F(n, i)
+additivity cases reuse powers the identity checks take), so the powers
+of g and C are computed once per process: _power memoizes them, keyed
+on the series kind, the order and the exact exponent, after the checks
+(or base_power) have validated those.  A case's wall time can therefore
+depend on which cases ran before it.  Nothing else is memoized: g and C
+themselves cost far less than a power and come from base_series each
+time they are used.  The certificate checks build every F(n, i)
 and G(n, i) they use once per call, in two separate tables, so the two
 sides of the telescoping identity share no result.  Closed forms are
 never memoized, so each identity still compares two independent
@@ -52,6 +53,7 @@ from .exactnum import (
     falling_factorial,
     integer_convolution,
     over_factorial_scales,
+    require_count,
 )
 
 
@@ -125,11 +127,6 @@ class TruncatedSeries(_IntegerForm):
         return f"TruncatedSeries(coefficients={self.coefficients!r})"
 
 
-def _require_order(order: int) -> None:
-    if not isinstance(order, int) or order < 0:
-        raise ValueError("order must be a nonnegative integer")
-
-
 def base_series(kind: str, order: int, s: Scalar | None = None) -> TruncatedSeries:
     """One of the three independently constructed base series.
 
@@ -142,7 +139,7 @@ def base_series(kind: str, order: int, s: Scalar | None = None) -> TruncatedSeri
     The three routes share no code, so agreements between them are
     genuine cross-checks.
     """
-    _require_order(order)
+    require_count("order", order)
     if kind == "g":
         value = 1
         coeffs = []
@@ -261,41 +258,33 @@ def series_pow(f: TruncatedSeries, r: Scalar) -> TruncatedSeries:
     )
 
 
-#: Entries kept by each of _base and _power.  The default series bounds
-#: need 53 powers; the limit keeps a long-lived process from growing
-#: without bound.
+#: Entries kept by _power.  The default series bounds need 53 powers;
+#: the limit keeps a long-lived process from growing without bound.
 MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _base(kind: str, order: int) -> TruncatedSeries:
-    """base_series(kind, order) for g or catalan, built once per order."""
-    return base_series(kind, order)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
 def _power(kind: str, order: int, r: Fraction) -> TruncatedSeries:
-    """series_pow of a memoized base series, computed once per exponent
-    for every series case (through base_power or the identity checks).
+    """series_pow of a base series, computed once per exponent for every
+    series case (through base_power or the identity checks).
 
     The key must already be exact: 0.5 == Fraction(1, 2) and both hash
     alike, so an unvalidated float would be handed the cached result.
     A TruncatedSeries is frozen, so every caller can share the result.
     """
-    return series_pow(_base(kind, order), r)
+    return series_pow(base_series(kind, order), r)
 
 
 def base_power(kind: str, order: int, r: Scalar) -> TruncatedSeries:
     """series_pow(base_series(kind, order), r) for g or catalan, from
     the memo; order and r are validated before the lookup."""
-    _require_order(order)
+    require_count("order", order)
     return _power(kind, order, exact_rational(r))
 
 
 def nth_derivative(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """Term-wise n-th derivative; the truncation order drops by n."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("derivative count must be a nonnegative integer")
+    require_count("n", n)
     if n > f.order:
         raise OrderExhaustedError(
             f"derivative {n} of a series truncated at order {f.order}"
@@ -325,9 +314,8 @@ def derivative_identity_check(
     built once per call; the gC right-hand side's terms
     g^(1+2n-i)*C^(l+i) are multiplied afresh for every n.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
-    _require_order(order)
+    require_count("n_max", n_max, least=1)
+    require_count("order", order)
     if order < n_max + 8:
         raise ValueError("order must be at least n_max + 8 for a working margin")
     param = exact_rational(param)
@@ -342,14 +330,14 @@ def derivative_identity_check(
 
     elif variant == "C":
         power = _power("catalan", order, param)
-        product = _base("g", order) * _power("catalan", order, param + 1) * param
+        product = base_series("g", order) * _power("catalan", order, param + 1) * param
 
         def holds(n: int) -> bool:
             rhs = nth_derivative(product, n - 1).truncate(order - n)
             return nth_derivative(power, n) == rhs
 
     elif variant == "gC":
-        product = _base("g", order) * _power("catalan", order, param)
+        product = base_series("g", order) * _power("catalan", order, param)
 
         def holds(n: int) -> bool:
             lhs = nth_derivative(product, n) * Fraction(1, factorial(n))
@@ -376,7 +364,7 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
         [x^n] C^l = l*(2n+l-1 falling n-1)/n!, a cancellation-safe form
         that stays finite when 2n + l = 0.
     """
-    _require_order(order)
+    require_count("order", order)
     param = exact_rational(param)
     if variant == "gt":
         f = _power("g", order, param)
@@ -385,7 +373,7 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
             for n in range(order + 1)
         )
     if variant == "gC":
-        f = _base("g", order) * _power("catalan", order, param)
+        f = base_series("g", order) * _power("catalan", order, param)
         return all(f[n] == binomial(2 * n + param, n) for n in range(order + 1))
     if variant == "C":
         f = _power("catalan", order, param)
@@ -437,8 +425,7 @@ def wz_certificate_check(n_max: int) -> list[tuple[int, int]]:
     two separate tables, so the two sides of the equation share no
     result.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
+    require_count("n_max", n_max)
     f = [
         [certificate_summand(n, i) for i in range(min(n, n_max) + 2)]
         for n in range(n_max + 2)
@@ -464,8 +451,7 @@ def telescoped_sum_check(n_max: int) -> list[int]:
     also needs the sum to be 1.  Each sum and each closed form is built
     once per call, and the closed form never goes through F.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
+    require_count("n_max", n_max)
     sizes = range(n_max + 2)
     totals = [
         sum((certificate_summand(size, i) for i in range(size + 1)), Polynomial())

@@ -494,3 +494,49 @@ FLOAT_ENTRY_POINTS = {
 def test_exact_arithmetic_rejects_floats(entry):
     with pytest.raises(TypeError, match="expected an int or a Fraction"):
         FLOAT_ENTRY_POINTS[entry]()
+
+
+#: Every count check, by entry point: a call that passes its count
+#: parameter the given value, the parameter's name, and the least
+#: admissible value (0 or 1).
+COUNT_CHECKS = {
+    "falling_factorial": (lambda k: falling_factorial(3, k), "k", 0),
+    "finite_difference": (lambda m: finite_difference(Fraction, m, 0), "m", 0),
+    "Polynomial.__pow__": (lambda exponent: X**exponent, "exponent", 0),
+    "Polynomial.coefficient": (lambda k: X.coefficient(k), "k", 0),
+    "convolution_sums": (lambda n_max: identities.convolution_sums((0,), n_max), "n_max", 0),
+    "convolution_sum": (lambda n: identities.convolution_sum((0,), n), "n", 0),
+    "closed_form": (lambda n: identities.closed_form(n, 1), "n", 0),
+    "odd_t_forms/n": (lambda n: identities.odd_t_forms(n, 1), "n", 0),
+    "odd_t_forms/L": (lambda L: identities.odd_t_forms(1, L), "L", 0),
+    "recurrence_check/t": (lambda t: identities.recurrence_check(t, 1), "t", 1),
+    "recurrence_check/n_max": (lambda n_max: identities.recurrence_check(1, n_max), "n_max", 0),
+    "inclusion_exclusion_sum": (lambda p: identities.inclusion_exclusion_sum(3, p), "p", 0),
+    "opposite_offsets_check": (lambda n: identities.opposite_offsets_check(n, 1), "n", 0),
+    "shift_invariance_poly": (lambda n: identities.shift_invariance_poly(n, 0), "n", 0),
+    "delta_formula_check": (lambda n: identities.delta_formula_check(n, 0), "n", 1),
+    "nth_derivative": (lambda n: series.nth_derivative(series.base_series("g", 4), n), "n", 0),
+    "derivative_identity_check/n_max": (
+        lambda n_max: series.derivative_identity_check("gt", 1, n_max, 16), "n_max", 1
+    ),
+    "derivative_identity_check/order": (
+        lambda order: series.derivative_identity_check("gt", 1, 1, order), "order", 0
+    ),
+    "coefficient_identity_check": (
+        lambda order: series.coefficient_identity_check("gt", 1, order), "order", 0
+    ),
+    "wz_certificate_check": (series.wz_certificate_check, "n_max", 0),
+    "telescoped_sum_check": (series.telescoped_sum_check, "n_max", 0),
+    "base_series": (lambda order: series.base_series("g", order), "order", 0),
+    "base_power": (lambda order: series.base_power("g", order, 1), "order", 0),
+}
+
+
+@pytest.mark.parametrize("bad", ["below", "fraction"])
+@pytest.mark.parametrize("entry", COUNT_CHECKS)
+def test_count_checks_name_their_own_parameter(entry, bad):
+    call, name, least = COUNT_CHECKS[entry]
+    kind = "positive" if least else "nonnegative"
+    with pytest.raises(OutOfRangeError) as refused:
+        call(least - 1 if bad == "below" else 1.5)
+    assert str(refused.value) == f"{name} must be a {kind} integer"

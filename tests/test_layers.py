@@ -1,6 +1,7 @@
-"""The package loads its algebraic and analytic layers only on first use:
-the bijection commands run without them, and every public name still
-resolves through the package and through suites.  The combinatorial,
+"""The package loads each layer only on first use: importing it loads no
+submodule, the bijection commands run without the algebraic and
+analytic layers, and every public name still resolves through the
+package and through suites.  The combinatorial,
 algebraic and analytic layers load no dataclasses, suites loads it for
 Case alone, the one dataclass in the package, and json loads only for
 verify --format json."""
@@ -165,14 +166,50 @@ def test_identities_suite_loads_the_later_layers():
     assert loaded_after([command]) == list(LATER_LAYERS)
 
 
+def test_importing_the_package_loads_no_submodule():
+    submodules = [
+        f"binomconv.{info.name}" for info in pkgutil.iter_modules(binomconv.__path__)
+    ]
+    assert "binomconv.bijection" in submodules
+    assert loaded("import binomconv", submodules) == []
+
+
+def test_the_public_names_are_the_export_table():
+    assert binomconv.__all__ == sorted(binomconv.__all__)
+    assert binomconv.__all__ == sorted(
+        name for names in binomconv._LAZY.values() for name in names
+    )
+    assert binomconv.__all__ == [
+        "Polynomial",
+        "TruncatedSeries",
+        "analyze",
+        "base_series",
+        "binomial",
+        "closed_form",
+        "convolution_sum",
+        "convolution_sums",
+        "enumerate_ordered",
+        "enumerate_tower_free",
+        "falling_factorial",
+        "from_subset_pair",
+        "parse_compact",
+        "phi",
+        "phi_inverse",
+        "render",
+        "series_pow",
+        "to_subset_pair",
+        "tower_configuration",
+    ]
+
+
 def test_every_public_name_resolves():
-    for name in binomconv.__all__:
-        assert getattr(binomconv, name) is not None, name
     namespace = {}
     exec("from binomconv import *", namespace)
-    assert set(binomconv.__all__) <= set(namespace)
-    assert binomconv.Polynomial is binomconv.exactnum.Polynomial
-    assert binomconv.series_pow is binomconv.series.series_pow
+    for module, names in binomconv._LAZY.items():
+        home = importlib.import_module(f"binomconv.{module}")
+        for name in names:
+            assert namespace[name] is vars(home)[name], name
+            assert getattr(binomconv, name) is vars(home)[name], name
 
 
 def test_suites_resolves_the_identities_and_series_names():

@@ -1,4 +1,4 @@
-"""The once-per-process memos of base series, series powers and the
+"""The once-per-process memos of series powers and the
 bijection's recursive steps and section rewrites, and the family checks
 that build their shared inputs once per call: they recompute nothing,
 refuse floats even when warm, leave traces whole, and let an injected
@@ -11,7 +11,6 @@ import pytest
 from binomconv import bijection, cli, exactnum, identities, series, suites
 
 MEMOS = (
-    series._base,
     series._power,
     bijection._phi_memo,
     bijection._phi_inverse_memo,
