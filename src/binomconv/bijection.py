@@ -10,11 +10,15 @@ and rewinds each section.
 
 Descents are the bookkeeping device: the image of a configuration with
 m towers has exactly m descents, and every rewriting step here is
-reversible column by column.
+reversible column by column.  Both maps pick a section's variant by its
+index: the first sections, as many as the configuration has color-One
+towers (phi) or its skeleton has (phi_inverse), take variant 1 and the
+rest variant 2 (see _phi).
 
 A configuration is its compact string (alphabet .Aa1Bb2), a plain str,
 and every function here takes and returns strings.  phi and
-phi_inverse check their input's shape once, and that check refuses a
+phi_inverse check their input's shape once, phi through the ordered
+rule of configuration._ordered_width, and that check refuses a
 character outside the alphabet too (phi with NotOrderedError,
 phi_inverse with NotTowerFreeError); configuration.parse_compact is
 the entry point for outside input.  They then recurse through five
@@ -52,10 +56,8 @@ from .configuration import (
     ODD_CHARS,
     TOWER_CHARS,
     NotOrderedError,
-    _ORDERED_ONE,
-    _ORDERED_TWO,
-    _one_slots,
     _only,
+    _ordered_width,
     _require_alphabet,
     _require_balanced,
 )
@@ -252,16 +254,21 @@ def decode_pairs(descents: Iterable[str]) -> str:
 
 
 def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
-    """phi on a balanced, ordered compact string."""
+    """phi on a balanced, ordered compact string.
+
+    Section m, counted from 0 and item k = 2m + 1 of the split, takes
+    variant 1 when it lies in the color-One block, the rule _phi_inverse
+    reads back.  That block holds all t color-One towers and, being as
+    wide as its count of colored slots, exactly t empties, so its
+    sections are the first t: m < t, with t the count of "1".  The rule
+    holds at every level because the compressed skeleton of a balanced,
+    ordered string is itself balanced and ordered, with a color-One block
+    of t columns: the packed pairs of the parent's One block.
+    """
     if _only(text, ODD_CHARS):
         if trace is not None:
             _note(trace, depth, "fixed point", text)
         return text
-    return _phi_sections(text, _one_slots(text), trace, depth)
-
-
-def _phi_sections(text: str, ones: int, trace: TraceLog | None, depth: int) -> str:
-    """_phi of a string with towers, given its count of color-One slots."""
     skeleton = text.translate(_DROP_ODD)
     if trace is None:
         step = _phi_memo if len(skeleton) <= SWEEP_LENGTH_LIMIT else _phi_skeleton
@@ -272,18 +279,17 @@ def _phi_sections(text: str, ones: int, trace: TraceLog | None, depth: int) -> s
         _note(trace, depth, "tower configuration", compressed)
         expanded = expand(_phi(compressed, trace, depth + 1))
         _note(trace, depth, "expanded image", expanded)
+    one_towers = text.count("1")
     # The odd stretches at the even indices, the sections at the odd ones;
-    # each section is replaced by its image in place.
+    # each section is replaced in place by its image, which is as long.
     parts = _SECTION.split(text)
-    end = 0
     for k in range(1, len(parts), 2):
-        start = end + len(parts[k - 1])
-        end = start + len(parts[k])
-        variant = 1 if end <= ones else 2
+        variant = 1 if k // 2 < one_towers else 2
         section = expanded[k - 1] + parts[k][1:-1] + expanded[k]
         parts[k] = image = phi_section_forward(section, variant)
         if trace is not None:
-            _note(trace, depth, f"section {start + 1}..{end}",
+            start = sum(map(len, parts[:k])) + 1
+            _note(trace, depth, f"section {start}..{start + len(image) - 1}",
                   f"variant {variant}: {section} -> {image}")
     result = "".join(parts)
     if trace is not None:
@@ -335,13 +341,7 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
             _note(trace, depth, f"section {start}..{previous_end}",
                   f"variant {variant}: {section} -> {rebuilt}")
     result = "".join(parts)
-    empties, one_towers = result.count("."), result.count("1")
-    ones = result.count("A") + result.count("a") + 2 * one_towers
-    if (
-        empties != one_towers + result.count("2")
-        or result[:ones].strip(_ORDERED_ONE)
-        or result[ones:].strip(_ORDERED_TWO)
-    ):
+    if _ordered_width(result) is None:
         raise NotInImageError(f"{image} reconstructs to {result}, which is not ordered")
     if trace is not None:
         _note(trace, depth, "preimage", result)
@@ -386,16 +386,10 @@ def tower_configuration(text: str) -> str:
 
 def phi(text: str, trace: TraceLog | None = None) -> str:
     """Map an ordered configuration to its tower-free image."""
-    empties, one_towers = text.count("."), text.count("1")
-    if empties != one_towers + text.count("2"):
-        _require_balanced(text)  # raises InvalidSlotCountError
-    ones = text.count("A") + text.count("a") + 2 * one_towers
-    if text[:ones].strip(_ORDERED_ONE) or text[ones:].strip(_ORDERED_TWO):
+    if _ordered_width(text) is None:
+        _require_balanced(text)  # InvalidSlotCountError comes first
         raise NotOrderedError(f"{text} is not ordered")
-    # Balanced, so a configuration without empties has no towers either.
-    if not empties:
-        return _phi(text, trace, 0)
-    return _phi_sections(text, ones, trace, 0)
+    return _phi(text, trace, 0)
 
 
 def phi_inverse(text: str, trace: TraceLog | None = None) -> str:

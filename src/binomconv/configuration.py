@@ -14,8 +14,9 @@ a tower of that color.  The module provides parsing, which checks the
 alphabet and balance of outside input, the subset-pair encoding of
 ordered configurations, enumeration of the two families that the
 bijection connects, the analysis and a two-row grid rendering.  The
-underscore helpers on compact strings are shared with the bijection,
-which runs on the strings too.
+ordered rule is stated once, in _ordered_width, which the bijection's
+maps call too; they share the other underscore helpers on compact
+strings as well.
 """
 
 from __future__ import annotations
@@ -65,8 +66,18 @@ def _colored_slots(text: str) -> int:
     return len(text) - text.count(".") + text.count("1") + text.count("2")
 
 
-def _one_slots(text: str) -> int:
-    return text.count("A") + text.count("a") + 2 * text.count("1")
+def _ordered_width(text: str) -> int | None:
+    """The width of the color-One block when text is balanced and
+    ordered, else None.  Ordered text has only ., A, a and 1 in its first
+    width columns, width being its count of color-One slots, and only .,
+    B, b and 2 after them, so text outside the alphabet is never ordered."""
+    one_towers = text.count("1")
+    if text.count(".") != one_towers + text.count("2"):
+        return None
+    width = text.count("A") + text.count("a") + 2 * one_towers
+    if text[:width].strip(_ORDERED_ONE) or text[width:].strip(_ORDERED_TWO):
+        return None
+    return width
 
 
 def _require_alphabet(text: str) -> None:
@@ -89,8 +100,9 @@ class Profile(NamedTuple):
     """Structural summary of a configuration, an immutable NamedTuple.
 
     Positions are 1-based.  type is the pair (count of color-One slots,
-    count of color-Two slots).  A descent position k marks a color-Two
-    column immediately followed by a color-One column.
+    count of color-Two slots).  ordered holds for balanced, ordered text
+    only (_ordered_width).  A descent position k marks a color-Two column
+    immediately followed by a color-One column.
     """
 
     type: tuple[int, int]
@@ -108,7 +120,7 @@ def _positions(text: str, chars: str) -> tuple[int, ...]:
 
 def analyze(text: str) -> Profile:
     _require_alphabet(text)
-    ones = _one_slots(text)
+    ones = text.count("A") + text.count("a") + 2 * text.count("1")
     towers = _positions(text, TOWER_CHARS)
     empties = _positions(text, ".")
     return Profile(
@@ -116,7 +128,7 @@ def analyze(text: str) -> Profile:
         towers=towers,
         empties=empties,
         odds=_positions(text, ODD_CHARS),
-        ordered=_only(text[:ones], _ORDERED_ONE) and _only(text[ones:], _ORDERED_TWO),
+        ordered=_ordered_width(text) is not None,
         tower_free=not towers and not empties,
         descents=tuple([
             pos
@@ -187,12 +199,12 @@ def from_subset_pair(i: int, j: int, ones: Iterable[int], twos: Iterable[int]) -
 
 def to_subset_pair(text: str) -> tuple[int, int, frozenset[int], frozenset[int]]:
     """Recover the subset pair of a balanced, ordered configuration."""
-    profile = analyze(text)
-    _require_balanced(text)
-    if not profile.ordered:
+    i = _ordered_width(text)
+    if i is None:
+        _require_alphabet(text)
+        _require_balanced(text)
         raise NotOrderedError(f"{text} is not ordered")
-    i, j = profile.type
-    return i, j, _subset(text[:i]), _subset(text[i : i + j])
+    return i, len(text) - i, _subset(text[:i]), _subset(text[i:])
 
 
 def enumerate_ordered(n: int) -> Iterator[str]:

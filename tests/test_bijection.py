@@ -28,6 +28,7 @@ from binomconv.bijection import (
     tower_configuration,
 )
 from binomconv.configuration import (
+    ALPHABET,
     BadCharacterError,
     InvalidSlotCountError,
     NotOrderedError,
@@ -39,6 +40,7 @@ from binomconv.configuration import (
     render,
     to_subset_pair,
 )
+from binomconv.configuration import _ordered_width
 
 GOLDEN = ".A11.b2B2.."
 GOLDEN_IMAGE = "BbAbabBaAbA"
@@ -273,6 +275,45 @@ def test_phi_error_messages_are_pinned():
     assert str(error.value) == "BA is not ordered"
 
 
+#: Colored slots per column: none for an empty, two for a tower, one for
+#: an odd column.
+SLOTS = {".": 0, "1": 2, "2": 2}
+
+
+def _raised(function, text):
+    try:
+        function(text)
+    except Exception as error:
+        return type(error)
+    return None
+
+
+def test_the_ordered_rule_against_enumeration():
+    # Every string over the alphabet of length at most 5, 19,608 of them.
+    # The ordered family comes from enumerate_ordered, which spells blocks
+    # from subsets and never reads the rule, and balance from SLOTS.
+    checked = 0
+    for n in range(6):
+        ordered = set(enumerate_ordered(n))
+        for chars in itertools.product(ALPHABET, repeat=n):
+            text = "".join(chars)
+            checked += 1
+            width = _ordered_width(text)
+            assert (width is not None) == (text in ordered), text
+            assert analyze(text).ordered == (text in ordered), text
+            if text in ordered:
+                assert _raised(phi, text) is None
+                i, j, ones, twos = to_subset_pair(text)
+                assert (i, j) == (width, n - width)
+                assert from_subset_pair(i, j, ones, twos) == text
+                continue
+            balanced = sum(SLOTS.get(char, 1) for char in chars) == n
+            refusal = NotOrderedError if balanced else InvalidSlotCountError
+            assert _raised(phi, text) is refusal, text
+            assert _raised(to_subset_pair, text) is refusal, text
+    assert checked == 19_608
+
+
 def test_phi_inverse_golden():
     for image, preimage in (
         ("ba", "1."),
@@ -410,6 +451,33 @@ def _digest(configurations) -> str:
 def test_the_map_itself_is_pinned(n):
     assert _digest(map(phi, enumerate_ordered(n))) == MAP_DIGESTS[n][0]
     assert _digest(map(phi_inverse, enumerate_tower_free(n))) == MAP_DIGESTS[n][1]
+
+
+#: SHA-256 of the format_trace texts, separated by blank lines, of phi
+#: over enumerate_ordered(n) and of phi_inverse over
+#: enumerate_tower_free(n), for n = 0..6 in turn: 5,461 traces each.  They
+#: pin every "section a..b: variant v" note and every level of the
+#: recursion, which the digests above do not see.
+TRACE_DIGESTS = {
+    "phi": "b1f195261b7dcc517990df2d5a37b7303b7fbbd88f1910bfee8bb6b48fdad91c",
+    "phi_inverse": "cf2e0e97eb9c8bf79469c4f2b4351b5e75aa6b8f9f66e9e98957614139860944",
+}
+
+
+def _traced(function, text: str) -> str:
+    trace = []
+    function(text, trace)
+    return format_trace(trace)
+
+
+@pytest.mark.parametrize(
+    "function, family", [(phi, enumerate_ordered), (phi_inverse, enumerate_tower_free)]
+)
+def test_the_traced_map_is_pinned(function, family):
+    inputs = [text for n in range(7) for text in family(n)]
+    assert len(inputs) == 5_461
+    traces = "\n\n".join(_traced(function, text) for text in inputs)
+    assert hashlib.sha256(traces.encode()).hexdigest() == TRACE_DIGESTS[function.__name__]
 
 
 def test_sweep_reports_a_collision_from_either_side(monkeypatch):

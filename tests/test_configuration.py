@@ -200,6 +200,9 @@ def test_ordered_predicate():
     # A color-One column past the One block breaks order even with the
     # right slot counts per color.
     assert not analyze(".A2B2.aB").ordered
+    # Order holds for balanced text only: "1" has nothing outside its
+    # color-One block, but two colored slots in one column.
+    assert analyze("1").ordered is False
 
 
 def test_tower_free_predicate():

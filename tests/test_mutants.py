@@ -1,0 +1,132 @@
+"""The bijection suite against named mutants of the code it checks.
+
+Each mutant replaces one module-level function with a wrong version
+that wraps the real one, and names the exact set of bijection_suite(5)
+cases that fail under it.  Every case id fails under at least one
+mutant, so no case of the suite is vacuous.  The memos are
+cleared before and after each mutant, so a warm memo can neither hide
+a mutant nor keep its results.
+"""
+
+import itertools
+
+import pytest
+
+from binomconv import bijection, configuration, suites
+
+N_MAX = 5
+
+MEMOS = (
+    bijection._phi_memo,
+    bijection._phi_inverse_memo,
+    bijection.phi_section_forward,
+    bijection.phi_section_inverse,
+)
+
+SWAP_DESCENTS = {"ba": "bA", "bA": "ba"}
+SWAP_TOWERS = str.maketrans("12", "21")
+SWAP_COLORS = str.maketrans("AaBb12", "BbAa21")
+EXHAUSTIVE_FROM_2 = {f"exhaustive/n={n}" for n in range(2, N_MAX + 1)}
+
+#: (name, module, function, mutant of the exact function, the cases it
+#: fails).  Reversing expand and flipping compress each swap the two
+#: pair seeds "1." and ".1" on both sides of the map, so the sweep at
+#: n <= 3 sees another bijection and only a golden case tells them apart.
+MUTANTS = [
+    (
+        "decode_pairs reads ba as bA",
+        bijection,
+        "decode_pairs",
+        lambda exact: lambda descents: exact([SWAP_DESCENTS.get(d, d) for d in descents]),
+        {"golden/inverse-ba"} | EXHAUSTIVE_FROM_2,
+    ),
+    (
+        "phi_section_inverse with its ends reversed",
+        bijection,
+        "phi_section_inverse",
+        lambda exact: lambda run, variant, ends: exact(run, variant, ends[::-1]),
+        {"golden/inverse-ba", "golden/inverse-BAbA", "golden/inverse-aBBAaaBbABBBb"}
+        | EXHAUSTIVE_FROM_2,
+    ),
+    (
+        "phi_section_forward with tower colors swapped",
+        bijection,
+        "phi_section_forward",
+        lambda exact: lambda section, variant: exact(section.translate(SWAP_TOWERS), variant),
+        {"golden/forward"} | EXHAUSTIVE_FROM_2,
+    ),
+    (
+        "expand reversed",
+        bijection,
+        "expand",
+        lambda exact: lambda compressed: exact(compressed)[::-1],
+        {"golden/forward", "golden/inverse-ba", "exhaustive/n=4", "exhaustive/n=5"},
+    ),
+    (
+        "compress with rows flipped",
+        bijection,
+        "compress",
+        lambda exact: lambda skeleton: exact(skeleton).translate(bijection._FLIP),
+        {
+            "golden/forward",
+            "golden/skeleton-chain",
+            "golden/inverse-ba",
+            "golden/inverse-BAbA",
+            "golden/inverse-aBBAaaBbABBBb",
+            "exhaustive/n=4",
+            "exhaustive/n=5",
+        },
+    ),
+    (
+        "the ordered rule with colors swapped",
+        bijection,
+        "_ordered_width",
+        lambda exact: lambda text: exact(text.translate(SWAP_COLORS)),
+        {"golden/forward", "golden/inverse-aBBAaaBbABBBb", "golden/fixed-point"}
+        | EXHAUSTIVE_FROM_2,
+    ),
+    (
+        "enumerate_ordered drops its first item",
+        configuration,
+        "enumerate_ordered",
+        lambda exact: lambda n: itertools.islice(exact(n), 1, None),
+        {f"exhaustive/n={n}" for n in range(N_MAX + 1)},
+    ),
+]
+
+
+@pytest.fixture
+def cold_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _failing_cases() -> set[str]:
+    report = suites.run_cases("bijection", suites.bijection_suite(N_MAX))
+    return {case.id.removeprefix("bijection/") for case in report.cases if not case.passed}
+
+
+def test_the_suite_passes_without_a_mutant(cold_memos):
+    assert _failing_cases() == set()
+
+
+@pytest.mark.parametrize(
+    "module, function, mutate, failing",
+    [mutant[1:] for mutant in MUTANTS],
+    ids=[mutant[0] for mutant in MUTANTS],
+)
+def test_each_mutant_fails_exactly_its_cases(
+    module, function, mutate, failing, cold_memos, monkeypatch
+):
+    monkeypatch.setattr(module, function, mutate(getattr(module, function)))
+    assert _failing_cases() == failing
+
+
+def test_every_case_fails_under_some_mutant():
+    ids = {case.id.removeprefix("bijection/") for case in suites.bijection_suite(N_MAX)}
+    caught = set().union(*[mutant[-1] for mutant in MUTANTS])
+    assert len(ids) == 12
+    assert caught == ids
