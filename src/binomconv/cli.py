@@ -125,12 +125,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        return _fail("length must be nonnegative")
-    if args.n > bijection.SWEEP_LENGTH_LIMIT:
-        return _fail(
-            f"enumeration is bounded at length {bijection.SWEEP_LENGTH_LIMIT}"
-        )
+    try:
+        suites.require_sweep_length("n", args.n)
+    except ValueError as error:
+        return _fail(str(error))
     if args.limit is not None and args.limit < 0:
         return _fail("limit must be nonnegative")
     produce = (

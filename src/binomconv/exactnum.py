@@ -26,7 +26,8 @@ a series, so that sharing makes no cross-check a tautology.
 Convolution sums build their offset columns as integers without
 binomial, so they share no arithmetic with identities.closed_form.
 require_count is the one check of a count (a size, width, order,
-exponent or index) here and in identities and series.
+exponent, sample count or index) here, in identities and series, and
+in the bounds of the identities and series suites.
 """
 
 from __future__ import annotations

@@ -3,11 +3,17 @@ the algebraic layer (convolution sums, their closed forms and the
 polynomial identities behind them) and the analytic layer (truncated
 power series and the telescoping certificate).
 
-Cases, reports, the bound checks and DEFAULT_BOUNDS live in suites,
-which also resolves every name here, so suites.identities_suite and
-suites.series_suite work as ever.  This module is imported the first
-time such a name is asked for, so a process that runs only the
-bijection never loads exactnum, identities, series or fractions.
+Cases, reports and DEFAULT_BOUNDS live in suites, which also resolves
+every name here, so suites.identities_suite and suites.series_suite
+work as ever.  This module is imported the first time such a name is
+asked for, so a process that runs only the bijection never loads
+exactnum, identities, series or fractions.
+
+Every bound here is a count, refused by exactnum.require_count.  A
+family checks a bound itself only where its own loop, or a randint,
+would otherwise run empty and pass; a bound that the family's first
+call into identities or series already checks under the same name is
+left to that call.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import random
 from fractions import Fraction
 
 from . import configuration, identities, series
-from .exactnum import Polynomial
-from .suites import DEFAULT_BOUNDS, Case, _require_nonnegative, _require_positive
+from .exactnum import Polynomial, require_count
+from .suites import DEFAULT_BOUNDS, Case
 
 
 # ---------------------------------------------------------------- identities
@@ -33,7 +39,6 @@ SHIFT_PARAMETERS = (
 
 
 def power_of_four_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
     failures = []
     for n, value in enumerate(identities.convolution_sums((0, 0), n_max)):
         if value != Fraction(4) ** n:
@@ -42,7 +47,6 @@ def power_of_four_failures(n_max: int) -> list[str]:
 
 
 def enumeration_count_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
     failures = []
     for n, value in enumerate(identities.convolution_sums((0, 0), n_max)):
         total = sum(1 for _ in configuration.enumerate_ordered(n))
@@ -52,8 +56,7 @@ def enumeration_count_failures(n_max: int) -> list[str]:
 
 
 def zero_offset_closed_form_failures(t_max: int, n_max: int) -> list[str]:
-    _require_positive("t_max", t_max)
-    _require_nonnegative("n_max", n_max)
+    require_count("t_max", t_max, least=1)
     failures = []
     for t in range(1, t_max + 1):
         for n, lhs in enumerate(identities.convolution_sums((0,) * t, n_max)):
@@ -64,7 +67,6 @@ def zero_offset_closed_form_failures(t_max: int, n_max: int) -> list[str]:
 
 
 def reindexed_offset_pair_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
     failures = []
     offsets = (Fraction(1), Fraction(-1))
     for n, value in enumerate(identities.convolution_sums(offsets, n_max)):
@@ -74,8 +76,8 @@ def reindexed_offset_pair_failures(n_max: int) -> list[str]:
 
 
 def odd_width_failures(n_max: int, L_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
-    _require_nonnegative("L_max", L_max)
+    require_count("n_max", n_max)
+    require_count("L_max", L_max)
     failures = []
     for n in range(n_max + 1):
         for L in range(L_max + 1):
@@ -85,8 +87,7 @@ def odd_width_failures(n_max: int, L_max: int) -> list[str]:
 
 
 def recurrence_failures(t_max: int, n_max: int) -> list[str]:
-    _require_positive("t_max", t_max)
-    _require_nonnegative("n_max", n_max)
+    require_count("t_max", t_max, least=1)
     return [
         f"t={t}, n={n}"
         for t in range(1, t_max + 1)
@@ -99,7 +100,7 @@ def _random_rational(rng: random.Random, bound: int = 12, den: int = 6) -> Fract
 
 
 def opposite_offsets_integer_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
+    require_count("n_max", n_max)
     failures = []
     for n in range(n_max + 1):
         for extra in (1, 2, 5, 17):
@@ -110,8 +111,7 @@ def opposite_offsets_integer_failures(n_max: int) -> list[str]:
 
 
 def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
-    _require_positive("samples", samples)
+    require_count("samples", samples, least=1)
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -123,9 +123,9 @@ def opposite_offsets_rational_failures(n_max: int, seed: int, samples: int) -> l
 
 
 def zero_sum_offsets_failures(seed: int, samples: int, t_max: int, n_max: int) -> list[str]:
-    _require_positive("samples", samples)
-    _require_positive("t_max", t_max)
-    _require_nonnegative("n_max", n_max)
+    require_count("samples", samples, least=1)
+    require_count("t_max", t_max, least=1)
+    require_count("n_max", n_max)
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -141,7 +141,7 @@ def zero_sum_offsets_failures(seed: int, samples: int, t_max: int, n_max: int) -
 
 
 def inclusion_exclusion_integer_failures(L_max: int) -> list[str]:
-    _require_nonnegative("L_max", L_max)
+    require_count("L_max", L_max)
     failures = []
     for L in range(L_max + 1):
         for p in range(L + 1):
@@ -152,7 +152,7 @@ def inclusion_exclusion_integer_failures(L_max: int) -> list[str]:
 
 
 def inclusion_exclusion_polynomial_failures(p_max: int) -> list[str]:
-    _require_nonnegative("p_max", p_max)
+    require_count("p_max", p_max)
     failures = []
     variable = Polynomial((0, 1))
     for p in range(p_max + 1):
@@ -163,7 +163,6 @@ def inclusion_exclusion_polynomial_failures(p_max: int) -> list[str]:
 
 
 def shift_invariance_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
     unshifted = {a: identities.convolution_sums((a, 0), n_max) for a in SHIFT_PARAMETERS}
     failures = []
     for n in range(n_max + 1):
@@ -178,9 +177,8 @@ def shift_invariance_failures(n_max: int) -> list[str]:
 
 
 def difference_formula_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
     # Size 0 has no difference of order m >= 1, so n_max = 0 checks nothing.
-    _require_positive("n_max", n_max)
+    require_count("n_max", n_max, least=1)
     return [
         f"n={n}, a={a}, {failure}"
         for n in range(1, n_max + 1)
@@ -195,8 +193,8 @@ def identities_suite(
     seed: int = DEFAULT_BOUNDS["identities"]["seed"],
 ) -> list[Case]:
     # n_max = 0 would leave difference-formula with nothing to check.
-    _require_positive("n_max", n_max)
-    _require_positive("t_max", t_max)
+    require_count("n_max", n_max, least=1)
+    require_count("t_max", t_max, least=1)
     # Family bounds never exceed their documented pins.
     rows = (
         ("power-of-four", power_of_four_failures, {"n_max": n_max}),
@@ -290,7 +288,6 @@ def derivative_law_failures(order: int) -> list[str]:
 
 
 def derivative_identity_failures(order: int, n_max: int) -> list[str]:
-    _require_positive("n_max", n_max)
     return [
         f"{variant}, param={param}, n={n}"
         for variant in ("gt", "gC", "C")
@@ -325,16 +322,15 @@ def power_additivity_failures(order: int) -> list[str]:
 
 
 def wz_certificate_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
     return [f"n={n}, i={i}" for n, i in series.wz_certificate_check(n_max)]
 
 
 def telescoped_sum_failures(n_max: int) -> list[str]:
-    _require_nonnegative("n_max", n_max)
     return [f"n={n}" for n in series.telescoped_sum_check(n_max)]
 
 
 def series_suite(order: int = DEFAULT_BOUNDS["series"]["order"]) -> list[Case]:
+    require_count("order", order)
     if order < 16:
         raise ValueError("series suite needs order >= 16")
     rows = (

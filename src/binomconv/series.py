@@ -83,6 +83,7 @@ class TruncatedSeries(_IntegerForm):
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
+        require_count("order", order)
         return cls((value,) + (0,) * order)
 
     @property
@@ -97,6 +98,7 @@ class TruncatedSeries(_IntegerForm):
         return Fraction(self._num[n], self._den)
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        require_count("order", order)
         if order > self.order:
             raise OrderExhaustedError(
                 f"cannot extend order {self.order} to {order}"

@@ -10,6 +10,10 @@ counterexamples, so a failure is directly actionable.  Case lists are
 deterministic functions of their bounds and seed, and cases are
 independent.  The default bounds of the three suites live in one table,
 DEFAULT_BOUNDS, which the builders and the command line both read.
+require_sweep_length is the one check of a bijection sweep length, for
+bijection_suite, the sweep itself and the enumerate command; every
+bound of the identities and series suites is a count, checked by
+exactnum.require_count, which this module never imports.
 
 This module holds the cases, the reports and the bijection suite.  The
 identities and series suites live in identity_suites, which is imported
@@ -164,19 +168,6 @@ def run_cases(suite: str, cases: Iterable[Case]) -> Report:
     return Report(suite=suite, cases=results, wall_time=wall)
 
 
-def _require_nonnegative(name: str, bound: int) -> None:
-    """A family swept over an empty range checks nothing; refuse the
-    bound instead of reporting a vacuous pass."""
-    if bound < 0:
-        raise ValueError(f"{name} must be nonnegative, got {bound}")
-
-
-def _require_positive(name: str, bound: int) -> None:
-    """As _require_nonnegative, for a bound whose range starts at 1."""
-    if bound < 1:
-        raise ValueError(f"{name} must be positive, got {bound}")
-
-
 def _summarize(failures: list[str]) -> tuple[str, str]:
     if not failures:
         return OK, OK
@@ -207,6 +198,16 @@ _RANK_DIGITS = str.maketrans(configuration.ODD_CHARS, "0123")
 _TOWER_FREE_DESCENT = re.compile("[Bb][Aa]")
 
 
+def require_sweep_length(name: str, value: object) -> None:
+    """The one check of a sweep length: refuse value unless it is an
+    int from 0 to bijection.SWEEP_LENGTH_LIMIT.  A negative length
+    would sweep nothing and pass, and a longer one would mark 4^n
+    images, 4 GiB at n = 16."""
+    limit = bijection.SWEEP_LENGTH_LIMIT
+    if not isinstance(value, int) or not 0 <= value <= limit:
+        raise ValueError(f"{name} must be an integer from 0 to {limit}")
+
+
 def exhaustive_bijection_failures(n: int) -> list[str]:
     """Sweep both directions of the bijection at one length.
 
@@ -216,7 +217,7 @@ def exhaustive_bijection_failures(n: int) -> list[str]:
     are marked by base-4 rank in a bytearray of 4^n bytes, one byte per
     tower-free word, rather than kept as objects.
     """
-    _require_nonnegative("n", n)
+    require_sweep_length("n", n)
     failures: list[str] = []
     hit = bytearray(4**n)
     count = 0
@@ -273,11 +274,7 @@ def _chain_string(config: str) -> str:
 
 
 def bijection_suite(n_max: int = DEFAULT_BOUNDS["bijection"]["n_max"]) -> list[Case]:
-    _require_nonnegative("n_max", n_max)
-    if n_max > bijection.SWEEP_LENGTH_LIMIT:
-        raise ValueError(
-            f"bijection sweeps are bounded at length {bijection.SWEEP_LENGTH_LIMIT}"
-        )
+    require_sweep_length("n_max", n_max)
     golden = (
         ("forward", phi_of_compact, ".A11.b2B2..", "BbAbabBaAbA"),
         ("skeleton-chain", _chain_string, ".A11.b2B2..", ".11.22.. -> aA2. -> B"),

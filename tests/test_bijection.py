@@ -551,6 +551,16 @@ def test_sweep_holds_no_image_objects():
     assert peak < 64 * 1024
 
 
+def test_sweep_refuses_a_length_above_the_limit(monkeypatch):
+    # Past the real limit the sweep would mark 4^n images (4 GiB at
+    # n = 16) before it found anything, so the refusal is shown at a
+    # lowered limit: it comes before the sweep runs.
+    monkeypatch.setattr(bijection, "SWEEP_LENGTH_LIMIT", 3)
+    with pytest.raises(ValueError) as refused:
+        suites.exhaustive_bijection_failures(4)
+    assert str(refused.value) == "n must be an integer from 0 to 3"
+
+
 @st.composite
 def ordered_configs(draw, max_length=512):
     n = draw(st.integers(0, max_length))

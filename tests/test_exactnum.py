@@ -528,6 +528,12 @@ COUNT_CHECKS = {
     "wz_certificate_check": (series.wz_certificate_check, "n_max", 0),
     "telescoped_sum_check": (series.telescoped_sum_check, "n_max", 0),
     "base_series": (lambda order: series.base_series("g", order), "order", 0),
+    "TruncatedSeries.constant": (
+        lambda order: series.TruncatedSeries.constant(7, order), "order", 0
+    ),
+    "TruncatedSeries.truncate": (
+        lambda order: series.base_series("g", 4).truncate(order), "order", 0
+    ),
     "base_power": (lambda order: series.base_power("g", order, 1), "order", 0),
 }
 

@@ -1,18 +1,21 @@
-"""The bijection suite against named mutants of the code it checks.
+"""The default suites against named mutants of the code they check.
 
 Each mutant replaces one module-level function with a wrong version
-that wraps the real one, and names the exact set of bijection_suite(5)
-cases that fail under it.  Every case id fails under at least one
-mutant, so no case of the suite is vacuous.  The memos are
-cleared before and after each mutant, so a warm memo can neither hide
-a mutant nor keep its results.
+that wraps the real one, and names the exact set of cases that fail
+under it.  For the bijection suite, every case id of bijection_suite(5)
+fails under at least one mutant, so no case of the suite is vacuous.
+The identities and series table is started: it pins the failing ids of
+both default suites under each of its mutants, and names the cases that
+no mutant fails yet.  The memos are cleared before and after each
+mutant, so a warm memo can neither hide a mutant nor keep its results.
 """
 
 import itertools
 
 import pytest
 
-from binomconv import bijection, configuration, suites
+from binomconv import bijection, configuration, exactnum, identities, series, suites
+from binomconv.exactnum import Polynomial
 
 N_MAX = 5
 
@@ -130,3 +133,110 @@ def test_every_case_fails_under_some_mutant():
     caught = set().union(*[mutant[-1] for mutant in MUTANTS])
     assert len(ids) == 12
     assert caught == ids
+
+
+# ------------------------------------------------- identities and series
+
+#: The modules whose callers look a patched exactnum name up.
+ALGEBRA_MODULES = (exactnum, identities, series)
+
+
+def scaled_by_index_plus_one(exact):
+    def mutant(numerators, scale):
+        lifted, den = exact(numerators, scale)
+        return [value * (k + 1) for k, value in enumerate(lifted)], den
+
+    return mutant
+
+
+def polynomial_variable_shifted_by_one(exact):
+    def mutant(x, k):
+        return exact(x.taylor_shift(1) if isinstance(x, Polynomial) else x, k)
+
+    return mutant
+
+
+#: (name, exactnum function, its mutant, the identities and series
+#: cases it fails).  Integer-offset columns have scale 1 and never reach
+#: over_factorial_scales.  The shifted binomial moves both sides of the
+#: telescoped sum to x + 1 together, so that comparison still holds;
+#: the two certificate cases fail through the clauses that spell x out.
+ALGEBRA_MUTANTS = [
+    (
+        "over_factorial_scales with entry k scaled by k + 1",
+        "over_factorial_scales",
+        scaled_by_index_plus_one,
+        {
+            "identities/difference-formula",
+            "identities/opposite-offsets-rational",
+            "identities/shift-invariance",
+            "identities/zero-sum-offsets",
+            "series/catalan-closed-form",
+            "series/coefficient-identities",
+            "series/derivative-identities",
+            "series/derivative-laws",
+            "series/power-additivity",
+            "series/route-independence",
+        },
+    ),
+    (
+        "the polynomial binomial with its variable shifted by 1",
+        "binomial",
+        polynomial_variable_shifted_by_one,
+        {"series/telescoped-sum", "series/wz-certificate"},
+    ),
+]
+
+#: The default cases that no mutant of the table fails yet.
+NOT_YET_CAUGHT = {
+    "identities/power-of-four",
+    "identities/enumeration-count",
+    "identities/zero-offset-closed-form",
+    "identities/reindexed-offset-pair",
+    "identities/odd-width-forms",
+    "identities/recurrence",
+    "identities/opposite-offsets-integer",
+    "identities/inclusion-exclusion-integer",
+    "identities/inclusion-exclusion-polynomial",
+}
+
+
+@pytest.fixture
+def cold_powers():
+    series._power.cache_clear()
+    yield
+    series._power.cache_clear()
+
+
+def _failing_algebra_cases() -> set[str]:
+    failing = set()
+    for name in ("identities", "series"):
+        report = suites.run_cases(name, getattr(suites, f"{name}_suite")())
+        failing |= {case.id for case in report.cases if not case.passed}
+    return failing
+
+
+@pytest.mark.parametrize(
+    "function, mutate, failing",
+    [mutant[1:] for mutant in ALGEBRA_MUTANTS],
+    ids=[mutant[0] for mutant in ALGEBRA_MUTANTS],
+)
+def test_each_algebra_mutant_fails_exactly_its_cases(
+    function, mutate, failing, cold_powers, monkeypatch
+):
+    mutant = mutate(getattr(exactnum, function))
+    for module in ALGEBRA_MODULES:
+        if hasattr(module, function):
+            monkeypatch.setattr(module, function, mutant)
+    assert _failing_algebra_cases() == failing
+
+
+def test_the_algebra_cases_not_yet_caught_are_named():
+    ids = {
+        case.id
+        for name in ("identities", "series")
+        for case in getattr(suites, f"{name}_suite")()
+    }
+    caught = set().union(*[mutant[-1] for mutant in ALGEBRA_MUTANTS])
+    assert caught <= ids
+    assert ids - caught == NOT_YET_CAUGHT

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomconv import series
-from binomconv.exactnum import Polynomial, X, binomial
+from binomconv.exactnum import OutOfRangeError, Polynomial, X, binomial
 from binomconv.series import (
     NonUnitConstantTermError,
     OrderExhaustedError,
@@ -81,6 +81,23 @@ def test_series_truncate():
     assert f.truncate(3) == f
     with pytest.raises(OrderExhaustedError):
         f.truncate(4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: f.truncate(-3),
+        lambda f: f.truncate(-1),
+        lambda f: TruncatedSeries.constant(7, -5),
+    ],
+    ids=["truncate(-3)", "truncate(-1)", "constant(7, -5)"],
+)
+def test_a_negative_order_is_refused(call):
+    # Slicing would read -3 as "all but the last three" and -1 as an
+    # empty series, and a negative count of zeros as none.
+    with pytest.raises(OutOfRangeError) as refused:
+        call(base_series("g", 10))
+    assert str(refused.value) == "order must be a nonnegative integer"
 
 
 def test_series_arithmetic_requires_equal_orders():
