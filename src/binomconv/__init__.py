@@ -29,10 +29,8 @@ _LAZY = {
         "analyze",
         "enumerate_ordered",
         "enumerate_tower_free",
-        "from_subset_pair",
         "parse_compact",
         "render",
-        "to_subset_pair",
     ),
     "exactnum": ("Polynomial", "binomial", "falling_factorial"),
     "identities": ("closed_form", "convolution_sum", "convolution_sums"),

@@ -11,12 +11,12 @@ A configuration is its compact string, a plain str with one character
 of the alphabet .Aa1Bb2 per column: a dot for an empty column, A/a for
 a color-One slot in the top/bottom row, B/b for color Two, and 1/2 for
 a tower of that color.  The module provides parsing, which checks the
-alphabet and balance of outside input, the subset-pair encoding of
-ordered configurations, enumeration of the two families that the
-bijection connects, the analysis and a two-row grid rendering.  The
-ordered rule is stated once, in _ordered_width, which the bijection's
-maps call too; they share the other underscore helpers on compact
-strings as well.
+alphabet and balance of outside input, enumeration of the two families
+that the bijection connects (the ordered one as the pairs of an i-subset
+of 2i slots and a j-subset of 2j slots), the analysis and a grid
+rendering.  The ordered rule is stated once, in _ordered_width, which
+the bijection's maps call too; they share the other underscore helpers
+on compact strings as well.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ TWO_CHARS = "Bb2"
 #: configuration.
 _ORDERED_ONE = "." + ONE_CHARS
 _ORDERED_TWO = "." + TWO_CHARS
-_TOP_CHARS = "A1B2"
-_BOTTOM_CHARS = "a1b2"
 
 
 def _only(text: str, chars: str) -> bool:
@@ -167,44 +165,6 @@ def _blocks(width: int, chars: str) -> Iterator[str]:
     lead, skip = 4**width, 2 - width % 2
     for combination in itertools.combinations(weights, width):
         yield format(sum(combination, lead), "x").translate(spell)[skip:]
-
-
-def _subset(block: str) -> frozenset[int]:
-    """The colored slots of a one-color block, numbered as in _block."""
-    width = len(block)
-    return frozenset(
-        [k for k, char in enumerate(block, start=1) if char in _TOP_CHARS]
-        + [width + k for k, char in enumerate(block, start=1) if char in _BOTTOM_CHARS]
-    )
-
-
-def from_subset_pair(i: int, j: int, ones: Iterable[int], twos: Iterable[int]) -> str:
-    """Build the ordered configuration encoded by an (i, j) subset pair.
-
-    ones is an i-subset of 1..2i marking color-One slots in the left
-    2 x i block; twos is a j-subset of 1..2j for the right block.  Slots
-    are numbered row by row within each block: top row first, then
-    bottom, left to right.
-    """
-    ones = frozenset(ones)
-    twos = frozenset(twos)
-    if i < 0 or j < 0:
-        raise ConfigurationError("block widths must be nonnegative")
-    if len(ones) != i or not all(1 <= k <= 2 * i for k in ones):
-        raise ConfigurationError(f"ones must be an {i}-subset of 1..{2 * i}")
-    if len(twos) != j or not all(1 <= k <= 2 * j for k in twos):
-        raise ConfigurationError(f"twos must be a {j}-subset of 1..{2 * j}")
-    return _block(i, ones, ".aA1") + _block(j, twos, ".bB2")
-
-
-def to_subset_pair(text: str) -> tuple[int, int, frozenset[int], frozenset[int]]:
-    """Recover the subset pair of a balanced, ordered configuration."""
-    i = _ordered_width(text)
-    if i is None:
-        _require_alphabet(text)
-        _require_balanced(text)
-        raise NotOrderedError(f"{text} is not ordered")
-    return i, len(text) - i, _subset(text[:i]), _subset(text[i:])
 
 
 def enumerate_ordered(n: int) -> Iterator[str]:

@@ -35,12 +35,10 @@ from binomconv.configuration import (
     analyze,
     enumerate_ordered,
     enumerate_tower_free,
-    from_subset_pair,
     parse_compact,
     render,
-    to_subset_pair,
 )
-from binomconv.configuration import _ordered_width
+from binomconv.configuration import _block, _ordered_width
 
 GOLDEN = ".A11.b2B2.."
 GOLDEN_IMAGE = "BbAbabBaAbA"
@@ -298,19 +296,14 @@ def test_the_ordered_rule_against_enumeration():
         for chars in itertools.product(ALPHABET, repeat=n):
             text = "".join(chars)
             checked += 1
-            width = _ordered_width(text)
-            assert (width is not None) == (text in ordered), text
+            assert (_ordered_width(text) is not None) == (text in ordered), text
             assert analyze(text).ordered == (text in ordered), text
             if text in ordered:
                 assert _raised(phi, text) is None
-                i, j, ones, twos = to_subset_pair(text)
-                assert (i, j) == (width, n - width)
-                assert from_subset_pair(i, j, ones, twos) == text
                 continue
             balanced = sum(SLOTS.get(char, 1) for char in chars) == n
             refusal = NotOrderedError if balanced else InvalidSlotCountError
             assert _raised(phi, text) is refusal, text
-            assert _raised(to_subset_pair, text) is refusal, text
     assert checked == 19_608
 
 
@@ -343,7 +336,6 @@ def test_phi_inverse_requires_tower_free():
         (parse_compact, BadCharacterError),
         (render, BadCharacterError),
         (analyze, BadCharacterError),
-        (to_subset_pair, BadCharacterError),
         (even_skeleton, BadCharacterError),
         (phi, NotOrderedError),
         (phi_inverse, NotTowerFreeError),
@@ -569,7 +561,7 @@ def ordered_configs(draw, max_length=512):
     rng = draw(st.randoms(use_true_random=False))
     ones = rng.sample(range(1, 2 * i + 1), i)
     twos = rng.sample(range(1, 2 * j + 1), j)
-    return from_subset_pair(i, j, ones, twos)
+    return _block(i, ones, ".aA1") + _block(j, twos, ".bB2")
 
 
 @given(c=ordered_configs())

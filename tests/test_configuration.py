@@ -1,25 +1,20 @@
-"""Grid configurations, subset-pair encoding, enumeration, and formats."""
+"""Grid configurations, block spelling, enumeration, and formats."""
 
 import hashlib
 import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from binomconv.configuration import (
     BadCharacterError,
     ConfigurationError,
     InvalidSlotCountError,
-    NotOrderedError,
     analyze,
     enumerate_ordered,
     enumerate_tower_free,
-    from_subset_pair,
     parse_compact,
     render,
-    to_subset_pair,
 )
 from binomconv.configuration import _block, _blocks
 
@@ -102,65 +97,23 @@ def test_render_rejects_unknown_mode():
         render(parse_compact("1."), mode="fancy")
 
 
-# ---------------------------------------------------------------- subset pair
+# ------------------------------------------------------------------- blocks
 
 
-def test_from_subset_pair_golden():
-    c = from_subset_pair(5, 6, {2, 3, 4, 8, 9}, {2, 3, 4, 7, 8, 10})
-    assert str(c) == GOLDEN
-
-
-def test_to_subset_pair_golden():
-    i, j, ones, twos = to_subset_pair(parse_compact(GOLDEN))
-    assert (i, j) == (5, 6)
-    assert ones == frozenset({2, 3, 4, 8, 9})
-    assert twos == frozenset({2, 3, 4, 7, 8, 10})
-
-
-def test_subset_pair_small_cases():
-    assert str(from_subset_pair(0, 0, (), ())) == ""
-    assert str(from_subset_pair(1, 1, {1}, {1})) == "AB"
-    assert str(from_subset_pair(1, 0, {2}, ())) == "a"
-    assert to_subset_pair(parse_compact("AB")) == (1, 1, frozenset({1}), frozenset({1}))
-
-
-def test_from_subset_pair_validates():
-    with pytest.raises(ConfigurationError):
-        from_subset_pair(1, 0, {3}, ())  # slot 3 outside 1..2
-    with pytest.raises(ConfigurationError):
-        from_subset_pair(2, 0, {1}, ())  # wrong subset size
-    with pytest.raises(ConfigurationError):
-        from_subset_pair(-1, 0, (), ())
-
-
-def test_to_subset_pair_requires_ordered():
-    with pytest.raises(NotOrderedError):
-        to_subset_pair(parse_compact("BA"))
-    # An unbalanced string encodes no subset pair; read as one, "1" would
-    # give the pair of "AA" and ".." the pair of "".
-    for text in ("1", "1.1", "2", ".."):
-        with pytest.raises(InvalidSlotCountError):
-            to_subset_pair(text)
-
-
-@st.composite
-def subset_pairs(draw):
-    i = draw(st.integers(0, 5))
-    j = draw(st.integers(0, 5))
-    ones = draw(st.sets(st.integers(1, 2 * i), min_size=i, max_size=i)) if i else set()
-    twos = draw(st.sets(st.integers(1, 2 * j), min_size=j, max_size=j)) if j else set()
-    return i, j, frozenset(ones), frozenset(twos)
-
-
-@given(pair=subset_pairs())
-@settings(max_examples=60)
-def test_subset_pair_round_trip(pair):
-    i, j, ones, twos = pair
-    c = from_subset_pair(i, j, ones, twos)
-    assert len(c) == i + j
-    assert parse_compact(c) == c
-    assert analyze(c).ordered
-    assert to_subset_pair(c) == (i, j, ones, twos)
+@pytest.mark.parametrize(
+    "i, ones, twos, text",
+    [
+        (5, {2, 3, 4, 8, 9}, {2, 3, 4, 7, 8, 10}, GOLDEN),
+        (0, (), (), ""),
+        (1, {1}, {1}, "AB"),
+        (1, {2}, (), "a"),
+    ],
+    ids=["golden", "empty", "AB", "a"],
+)
+def test_block_golden(i, ones, twos, text):
+    # An i-subset of the 2i slots of the color-One block and a j-subset of
+    # the 2j slots of the color-Two block spell one ordered configuration.
+    assert _block(i, ones, ".aA1") + _block(len(text) - i, twos, ".bB2") == text
 
 
 # -------------------------------------------------------------------- analyze
@@ -235,6 +188,19 @@ def test_enumerate_ordered_contents():
             assert analyze(c).ordered
             seen.add(c)
         assert len(seen) == ordered_count(n)
+
+
+def test_enumerate_ordered_lists_the_subset_pairs_in_order():
+    # Each (i, ones-subset of 1..2i, twos-subset of 1..2j) once, in
+    # lexicographic order of the triple.
+    for n in range(7):
+        pairs = [
+            _block(i, ones, ".aA1") + _block(n - i, twos, ".bB2")
+            for i in range(n + 1)
+            for ones in itertools.combinations(range(1, 2 * i + 1), i)
+            for twos in itertools.combinations(range(1, 2 * (n - i) + 1), n - i)
+        ]
+        assert list(enumerate_ordered(n)) == pairs, n
 
 
 def test_enumerate_ordered_boundary_order():

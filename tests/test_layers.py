@@ -191,13 +191,11 @@ def test_the_public_names_are_the_export_table():
         "enumerate_ordered",
         "enumerate_tower_free",
         "falling_factorial",
-        "from_subset_pair",
         "parse_compact",
         "phi",
         "phi_inverse",
         "render",
         "series_pow",
-        "to_subset_pair",
         "tower_configuration",
     ]
 

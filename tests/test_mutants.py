@@ -4,10 +4,11 @@ Each mutant replaces one module-level function with a wrong version
 that wraps the real one, and names the exact set of cases that fail
 under it.  For the bijection suite, every case id of bijection_suite(5)
 fails under at least one mutant, so no case of the suite is vacuous.
-The identities and series table is started: it pins the failing ids of
-both default suites under each of its mutants, and names the cases that
-no mutant fails yet.  The memos are cleared before and after each
-mutant, so a warm memo can neither hide a mutant nor keep its results.
+The identities and series table pins the failing ids of both default
+suites under each of its mutants, and every case id of the two fails
+under at least one of them.  The memos are cleared before and after
+each mutant, so a warm memo can neither hide a mutant nor keep its
+results.
 """
 
 import itertools
@@ -137,9 +138,6 @@ def test_every_case_fails_under_some_mutant():
 
 # ------------------------------------------------- identities and series
 
-#: The modules whose callers look a patched exactnum name up.
-ALGEBRA_MODULES = (exactnum, identities, series)
-
 
 def scaled_by_index_plus_one(exact):
     def mutant(numerators, scale):
@@ -156,21 +154,37 @@ def polynomial_variable_shifted_by_one(exact):
     return mutant
 
 
-#: (name, exactnum function, its mutant, the identities and series
-#: cases it fails).  Integer-offset columns have scale 1 and never reach
-#: over_factorial_scales.  The shifted binomial moves both sides of the
-#: telescoped sum to x + 1 together, so that comparison still holds;
-#: the two certificate cases fail through the clauses that spell x out.
+#: The identities cases that build a column at a non-integer offset.
+RATIONAL_OFFSET_CASES = {
+    "identities/difference-formula",
+    "identities/opposite-offsets-rational",
+    "identities/shift-invariance",
+    "identities/zero-sum-offsets",
+}
+
+#: (name, module, function, mutant of the exact function, the identities
+#: and series cases it fails).  Each mutant is patched only in the module
+#: named, whose own functions look the name up there, so an exactnum name
+#: is mutated for one importer at a time.  Integer-offset columns have
+#: scale 1 and never reach over_factorial_scales.  The shifted binomial
+#: moves both sides of the telescoped sum to x + 1 together, so that
+#: comparison still holds; the two certificate cases fail through the
+#: clauses that spell x out.  In identities the shifted binomial fails
+#: nothing: its polynomial identities hold at every x, so at x + 1 too.
 ALGEBRA_MUTANTS = [
     (
-        "over_factorial_scales with entry k scaled by k + 1",
+        "over_factorial_scales in identities with entry k scaled by k + 1",
+        identities,
+        "over_factorial_scales",
+        scaled_by_index_plus_one,
+        RATIONAL_OFFSET_CASES,
+    ),
+    (
+        "over_factorial_scales in series with entry k scaled by k + 1",
+        series,
         "over_factorial_scales",
         scaled_by_index_plus_one,
         {
-            "identities/difference-formula",
-            "identities/opposite-offsets-rational",
-            "identities/shift-invariance",
-            "identities/zero-sum-offsets",
             "series/catalan-closed-form",
             "series/coefficient-identities",
             "series/derivative-identities",
@@ -180,25 +194,62 @@ ALGEBRA_MUTANTS = [
         },
     ),
     (
-        "the polynomial binomial with its variable shifted by 1",
+        "the polynomial binomial in series with its variable shifted by 1",
+        series,
         "binomial",
         polynomial_variable_shifted_by_one,
         {"series/telescoped-sum", "series/wz-certificate"},
     ),
+    (
+        "_offset_column building the column of offset + 1",
+        identities,
+        "_offset_column",
+        lambda exact: lambda offset, n: exact(offset + 1, n),
+        RATIONAL_OFFSET_CASES
+        | {
+            "identities/power-of-four",
+            "identities/enumeration-count",
+            "identities/zero-offset-closed-form",
+            "identities/reindexed-offset-pair",
+            "identities/recurrence",
+            "identities/opposite-offsets-integer",
+        },
+    ),
+    (
+        "closed_form at width t + 1",
+        identities,
+        "closed_form",
+        lambda exact: lambda n, t: exact(n, t + 1),
+        {
+            "identities/odd-width-forms",
+            "identities/zero-offset-closed-form",
+            "identities/zero-sum-offsets",
+        },
+    ),
+    (
+        "comb in identities with a nonzero lower index raised by 1",
+        identities,
+        "comb",
+        lambda exact: lambda n, k: exact(n, k + 1 if k else k),
+        {"identities/inclusion-exclusion-integer", "identities/difference-formula"},
+    ),
+    (
+        "_falling_numerators one factor short",
+        exactnum,
+        "_falling_numerators",
+        lambda exact: lambda x, k: exact(x, k - 1),
+        {
+            "identities/inclusion-exclusion-polynomial",
+            "identities/shift-invariance",
+            "identities/difference-formula",
+            "series/telescoped-sum",
+            "series/wz-certificate",
+        },
+    ),
 ]
 
-#: The default cases that no mutant of the table fails yet.
-NOT_YET_CAUGHT = {
-    "identities/power-of-four",
-    "identities/enumeration-count",
-    "identities/zero-offset-closed-form",
-    "identities/reindexed-offset-pair",
-    "identities/odd-width-forms",
-    "identities/recurrence",
-    "identities/opposite-offsets-integer",
-    "identities/inclusion-exclusion-integer",
-    "identities/inclusion-exclusion-polynomial",
-}
+#: The default cases that no mutant of the table fails.
+NOT_YET_CAUGHT: set[str] = set()
 
 
 @pytest.fixture
@@ -217,17 +268,14 @@ def _failing_algebra_cases() -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "function, mutate, failing",
+    "module, function, mutate, failing",
     [mutant[1:] for mutant in ALGEBRA_MUTANTS],
     ids=[mutant[0] for mutant in ALGEBRA_MUTANTS],
 )
 def test_each_algebra_mutant_fails_exactly_its_cases(
-    function, mutate, failing, cold_powers, monkeypatch
+    module, function, mutate, failing, cold_powers, monkeypatch
 ):
-    mutant = mutate(getattr(exactnum, function))
-    for module in ALGEBRA_MODULES:
-        if hasattr(module, function):
-            monkeypatch.setattr(module, function, mutant)
+    monkeypatch.setattr(module, function, mutate(getattr(module, function)))
     assert _failing_algebra_cases() == failing
 
 
