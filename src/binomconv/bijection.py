@@ -316,7 +316,6 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
         skeleton = expand(_phi_inverse(compress(pairs), trace, depth + 1))
         _note(trace, depth, "skeleton", skeleton)
     tower_one_pairs = skeleton.count("1")
-    previous_end = 0
     # Every section ends in a color-One column, so a run of color-Two
     # columns stops at the previous section, and a run of color-One
     # columns stops at the next descent.  Each section is cut from the
@@ -330,15 +329,13 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
             parts[k - 1] = kept
         else:
             variant = 2
-            kept = parts[k - 1]
             rest = parts[k + 1].lstrip("Aa")
             section = parts[k] + parts[k + 1][: len(parts[k + 1]) - len(rest)]
             parts[k + 1] = rest
         parts[k] = rebuilt = phi_section_inverse(section, variant, skeleton[k - 1 : k + 1])
         if trace is not None:
-            start = previous_end + len(kept) + 1
-            previous_end = start + len(section) - 1
-            _note(trace, depth, f"section {start}..{previous_end}",
+            start = sum(map(len, parts[:k])) + 1
+            _note(trace, depth, f"section {start}..{start + len(rebuilt) - 1}",
                   f"variant {variant}: {section} -> {rebuilt}")
     result = "".join(parts)
     if _ordered_width(result) is None:

@@ -11,14 +11,14 @@ validation, coefficients, sums over the lcm of the denominators,
 negation, scalar products and equality; each subclass names its normal
 form (a Polynomial drops trailing zeros, a series keeps them) and adds
 only what differs.  Polynomial products run through
-integer_convolution, evaluation and Taylor shifts by Horner in the
-numerator and denominator of the point.  The polynomial falling
+integer_convolution, and Taylor shifts through Horner's rule in the
+numerator and denominator of the offset.  The polynomial falling
 factorial and binomial multiply one integer numerator list by each
 factor in turn.  Scalar falling factorials and binomials run over
 integers too and build one Fraction per result.  A Fraction is built
-only where a rational is read: a scalar result, a polynomial's value,
-or its coefficients.  integer_convolution is the one integer Cauchy
-product loop; series products and convolution sums use it too.
+only where a rational is read: a scalar result or a coefficient.
+integer_convolution is the one integer Cauchy product loop; series
+products and convolution sums use it too.
 over_factorial_scales brings integers over n!*scale^n to one
 denominator; the series recurrences and the offset columns of the
 convolution sums both use it; no check compares an offset column with
@@ -26,8 +26,8 @@ a series, so that sharing makes no cross-check a tautology.
 Convolution sums build their offset columns as integers without
 binomial, so they share no arithmetic with identities.closed_form.
 require_count is the one check of a count (a size, width, order,
-exponent, sample count or index) here, in identities and series, and
-in the bounds of the identities and series suites.
+sample count or index) here, in identities and series, and in the
+bounds of the identities and series suites.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ class OutOfRangeError(ValueError):
 
 
 def require_count(name: str, value: object, least: int = 0) -> None:
-    """Refuse value unless it is an int >= least (0 or 1): the
-    OutOfRangeError says "{name} must be a nonnegative integer", or
-    "positive" when least is 1."""
-    if not isinstance(value, int) or value < least:
+    """Refuse value unless it is an int >= least (0 or 1), and not a
+    bool: the OutOfRangeError says "{name} must be a nonnegative
+    integer", or "positive" when least is 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
         kind = "positive" if least else "nonnegative"
         raise OutOfRangeError(f"{name} must be a {kind} integer")
 
@@ -216,17 +216,9 @@ class Polynomial(_IntegerForm):
             end -= 1
         return _lowest_terms(num[:end], den)
 
-    @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
-        return cls((value,))
-
     @property
     def degree(self) -> float:
         return len(self._num) - 1 if self._num else NEG_INFINITY
-
-    def coefficient(self, k: int) -> Fraction:
-        require_count("k", k)
-        return Fraction(self._num[k], self._den) if k < len(self._num) else Fraction(0)
 
     @property
     def is_constant(self) -> bool:
@@ -237,18 +229,6 @@ class Polynomial(_IntegerForm):
             raise ValueError(f"{self!r} is not constant")
         return Fraction(self._num[0], self._den) if self._num else Fraction(0)
 
-    def __call__(self, point: Scalar) -> Fraction:
-        point = exact_rational(point)
-        if not self._num:
-            return Fraction(0)
-        # Horner in p and q for point = p/q: the sum of c_k p^k q^(n-k).
-        p, q = point.numerator, point.denominator
-        value, scale = 0, 1
-        for c in reversed(self._num):
-            value = value * p + c * scale
-            scale *= q
-        return Fraction(value, self._den * (scale // q))
-
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, Polynomial):
             a, b = self._num, other._num
@@ -258,18 +238,6 @@ class Polynomial(_IntegerForm):
         return self._scaled(other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        require_count("exponent", exponent)
-        result = Polynomial._from_integers((1,), 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def taylor_shift(self, offset: Scalar) -> "Polynomial":
         """Substitute (variable + offset) for the variable."""
@@ -324,9 +292,6 @@ class Polynomial(_IntegerForm):
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-
-#: The polynomial variable.
-X = Polynomial((0, 1))
 
 PolyOrScalar = Union[Polynomial, int, Fraction]
 

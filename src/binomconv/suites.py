@@ -200,11 +200,11 @@ _TOWER_FREE_DESCENT = re.compile("[Bb][Aa]")
 
 def require_sweep_length(name: str, value: object) -> None:
     """The one check of a sweep length: refuse value unless it is an
-    int from 0 to bijection.SWEEP_LENGTH_LIMIT.  A negative length
-    would sweep nothing and pass, and a longer one would mark 4^n
-    images, 4 GiB at n = 16."""
+    int, not a bool, from 0 to bijection.SWEEP_LENGTH_LIMIT.  A negative
+    length would sweep nothing and pass, and a longer one would mark
+    4^n images, 4 GiB at n = 16."""
     limit = bijection.SWEEP_LENGTH_LIMIT
-    if not isinstance(value, int) or not 0 <= value <= limit:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= limit:
         raise ValueError(f"{name} must be an integer from 0 to {limit}")
 
 

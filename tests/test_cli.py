@@ -304,8 +304,19 @@ def test_verify_rejects_bad_bounds(capsys):
         (suites.identities_suite, {"n_max": 8.5}, "n_max must be a positive integer"),
         (suites.identities_suite, {"t_max": 2.5}, "t_max must be a positive integer"),
         (suites.series_suite, {"order": 16.5}, "order must be a nonnegative integer"),
+        (suites.bijection_suite, {"n_max": True}, "n_max must be an integer from 0 to 10"),
+        (suites.identities_suite, {"t_max": True}, "t_max must be a positive integer"),
+        (suites.series_suite, {"order": True}, "order must be a nonnegative integer"),
     ],
-    ids=["bijection-n_max", "identities-n_max", "identities-t_max", "series-order"],
+    ids=[
+        "bijection-n_max",
+        "identities-n_max",
+        "identities-t_max",
+        "series-order",
+        "bijection-n_max-bool",
+        "identities-t_max-bool",
+        "series-order-bool",
+    ],
 )
 def test_a_suite_refuses_a_bound_that_is_not_an_int(build, bounds, message):
     # Refused when the cases are built, not by every case when it runs.

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomconv import identities, suites
-from binomconv.exactnum import Polynomial, X, binomial
+from binomconv.exactnum import Polynomial, binomial
 from binomconv.identities import (
     RewritingMismatchError,
     closed_form,
@@ -22,6 +22,9 @@ from binomconv.identities import (
     recurrence_check,
     shift_invariance_poly,
 )
+
+#: The polynomial variable.
+X = Polynomial((0, 1))
 
 rational_offsets = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 

@@ -3,30 +3,46 @@
 Three contracts are checked under sys.setprofile.  A sweep reaches the
 code it checks only through the entry points it names.  Two routes to
 one identity share only the pinned helpers, each with the reason that
-sharing it cannot make the routes agree.  Every public name is reached
-by CI's console-script commands or a default suite, except the names
-pinned with their reason, so the public surface cannot grow back
-without a caller.
+sharing it cannot make the routes agree; a shared helper that computes
+is pinned only with a mutant of it, from the table of test_mutants,
+that fails a default case.  Every public name, and every method and
+property of an exported class and of the binomconv classes it inherits
+from, is reached by CI's console-script commands or a default suite,
+except those pinned with their reason, so the public surface cannot
+grow back without a caller.  Those commands and suites are profiled
+once per test session.
 
 The profile hook sees Python frames only.  A C builtin that both sides
 call (math.comb, the ordered_count oracle), the regular expression that
 scans descents, and C wrappers such as functools.lru_cache never
-appear, so these tests speak only of Python functions.  Routes are
-compared by code object, and named afterwards by co_qualname, which
-Python 3.10 lacks; there a function is named by its co_name, which
-is the same for a module-level function.
+appear, so these tests speak only of Python functions.  A
+comprehension's frame is left out: the function that runs it was
+called first, so it is counted there, and Python 3.12 inlines list
+comprehensions anyway (PEP 709).  Routes are compared by code object,
+and named afterwards by their qualified name: co_qualname, or, on
+Python 3.10, which lacks it, the __qualname__ of the module-level
+function or method that owns the code.
 """
 
 import contextlib
+import functools
 import io
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from test_mutants import ALGEBRA_MUTANTS
+
 import binomconv
-from binomconv import bijection, cli, identities, series, suites
+from binomconv import bijection, cli, exactnum, identities, series, suites
+from binomconv.exactnum import Polynomial
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+
+COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
+
+#: The default cases that each mutant of test_mutants' algebra table fails.
+CAUGHT = {name: failing for name, *_, failing in ALGEBRA_MUTANTS}
 
 
 def profiled_calls(run) -> set:
@@ -35,7 +51,7 @@ def profiled_calls(run) -> set:
     seen = set()
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" and frame.f_code.co_name not in COMPREHENSIONS:
             module = frame.f_globals.get("__name__", "")
             if module.startswith("binomconv."):
                 back = frame.f_back
@@ -56,12 +72,36 @@ def reached(run) -> set:
     return {(module, code) for _, module, code in profiled_calls(run)}
 
 
+def _members(owner) -> dict:
+    """The functions that a module or class holds, by attribute name: a
+    property's getter, the function of a static or class method, and
+    the function that a memo wraps."""
+    members = {}
+    for name, value in vars(owner).items():
+        value = getattr(value, "__func__", getattr(value, "fget", value))
+        value = getattr(value, "__wrapped__", value)
+        if hasattr(value, "__code__"):
+            members[name] = value
+    return members
+
+
+def _qualname(code) -> str:
+    """The qualified name of code; co_name for a nested function on 3.10."""
+    if hasattr(code, "co_qualname"):
+        return code.co_qualname
+    for name, module in list(sys.modules.items()):
+        if name.startswith("binomconv."):
+            owners = [module, *[v for v in vars(module).values() if isinstance(v, type)]]
+            for owner in owners:
+                for function in _members(owner).values():
+                    if function.__code__ is code:
+                        return function.__qualname__
+    return code.co_name
+
+
 def names(functions) -> set[str]:
     """module.qualname of each (module, code), without the package."""
-    return {
-        f"{module.removeprefix('binomconv.')}.{getattr(code, 'co_qualname', code.co_name)}"
-        for module, code in functions
-    }
+    return {f"{module.removeprefix('binomconv.')}.{_qualname(code)}" for module, code in functions}
 
 
 def test_the_sweep_reaches_the_bijection_only_through_phi_and_phi_inverse():
@@ -112,6 +152,68 @@ def test_miller_power_and_the_binomial_power_series_share_only_storage():
     }
 
 
+def test_miller_power_and_the_exp_log_route_share_storage_and_one_caught_rescaling():
+    catalan, r = series.base_series("catalan", 32), Fraction(7, 2)
+    shared = reached(lambda: series.series_pow(catalan, r)) & reached(
+        lambda: series.series_exp(series.series_log(catalan) * r)
+    )
+    assert names(shared) == {
+        # Store a finished series in lowest terms: the value is fixed.
+        "exactnum._IntegerForm._from_integers",
+        "exactnum._lowest_terms",
+        # Reads the length of the input series.
+        "series.TruncatedSeries.order",
+        # Brings each route's integers over n!*scale^n to one
+        # denominator.  It computes, so a mutant of it must fail a
+        # default case: the power route goes through it once and the
+        # exp/log route twice, and route-independence fails.
+        "exactnum.over_factorial_scales",
+    }
+    assert "series/route-independence" in CAUGHT[
+        "over_factorial_scales in series with entry k scaled by k + 1"
+    ]
+
+
+def test_g_times_a_catalan_power_and_its_binomial_coefficients_share_only_input_checks():
+    g, catalan, half = series.base_series("g", 32), series.base_series("catalan", 32), Fraction(1, 2)
+    shared = reached(lambda: g * series.series_pow(catalan, half)) & reached(
+        lambda: [exactnum.binomial(2 * n + half, n) for n in range(33)]
+    )
+    # Passes the exponent and each upper index through as a Fraction.
+    assert names(shared) == {"exactnum.exact_rational"}
+
+
+def test_the_telescoped_sum_and_its_closed_form_share_the_polynomial_binomial():
+    sizes = range(18)
+    shared = reached(
+        lambda: [
+            sum((series.certificate_summand(s, i) for i in range(s + 1)), Polynomial())
+            for s in sizes
+        ]
+    ) & reached(lambda: [exactnum.binomial(Polynomial((2 * s, 1)), s) for s in sizes])
+    assert names(shared) == {
+        # A blind spot: a fault in the polynomial binomial moves both
+        # sides to one wrong polynomial, so the comparison alone cannot
+        # see it.  The telescoped-sum case catches it through its two
+        # recurrence clauses, which spell x out.
+        "exactnum.binomial",
+        "exactnum._falling_numerators",
+        # Validate and store an input polynomial.
+        "exactnum._IntegerForm.__init__",
+        "exactnum.scaled_to_integers",
+        "exactnum.exact_rational",
+        # Store a finished polynomial in its normal form.
+        "exactnum._IntegerForm._from_integers",
+        "exactnum.Polynomial._normal",
+        "exactnum._lowest_terms",
+    }
+    for mutant in (
+        "the polynomial binomial in series with its variable shifted by 1",
+        "_falling_numerators one factor short",
+    ):
+        assert "series/telescoped-sum" in CAUGHT[mutant]
+
+
 # ------------------------------------------------------- the public surface
 
 #: The console-script commands of CI's 3.10 and 3.13 legs, with the exit
@@ -139,6 +241,22 @@ UNREACHED = {
     "drops its analyze metrics (ROADMAP items 1 and 7)",
 }
 
+#: The methods and properties of the exported classes, and of the
+#: binomconv classes they inherit from, that no command of CI and no
+#: default suite reaches, each with its reason.
+UNREACHED_METHODS = {
+    "Polynomial.__bool__": "the zero polynomial is falsy",
+    "Polynomial.__hash__": "a hash must agree with __eq__",
+    "TruncatedSeries.__hash__": "a hash must agree with __eq__, and the benchmark's "
+    "tracer hashes series_pow's arguments",
+    "Polynomial.__repr__": "formats failure text only",
+    "Polynomial.__str__": "formats failure text only",
+    "TruncatedSeries.__repr__": "formats failure text only",
+    "Polynomial.degree": "formats failure text only",
+    "_IntegerForm.coefficients": "formats failure text only",
+    "_IntegerForm.__rsub__": "the reflected half of -, kept to match __radd__",
+}
+
 MEMOS = (
     bijection._phi_memo,
     bijection._phi_inverse_memo,
@@ -162,12 +280,21 @@ def _commands_and_default_suites():
         assert all(case.passed for case in suites.run_cases(name, cases).cases), name
 
 
+@functools.cache
+def _reached_by_commands_and_default_suites() -> frozenset:
+    """The code of each binomconv function that CI's commands and the
+    default suites reach, from cold memos, so that a function that a
+    memo stands in front of runs."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    return frozenset(code for _, _, code in profiled_calls(_commands_and_default_suites))
+
+
 def _own_code(value) -> set:
     """The code of a function, or of each method that a class defines."""
     if not isinstance(value, type):
         return {value.__code__}
-    members = [getattr(m, "__func__", getattr(m, "fget", m)) for m in vars(value).values()]
-    return {member.__code__ for member in members if hasattr(member, "__code__")}
+    return {function.__code__ for function in _members(value).values()}
 
 
 def test_the_ci_commands_are_the_workflow_commands():
@@ -177,11 +304,27 @@ def test_the_ci_commands_are_the_workflow_commands():
 
 
 def test_every_public_name_is_reached_by_a_command_or_a_default_suite():
-    # Cold memos, so a function that a memo stands in front of runs.
-    for memo in MEMOS:
-        memo.cache_clear()
-    ran = {code for _, _, code in profiled_calls(_commands_and_default_suites)}
+    ran = _reached_by_commands_and_default_suites()
     unreached = {
         name for name in binomconv.__all__ if not _own_code(getattr(binomconv, name)) & ran
     }
     assert unreached == set(UNREACHED)
+
+
+def test_every_method_of_an_exported_class_is_reached_by_a_command_or_a_default_suite():
+    ran = _reached_by_commands_and_default_suites()
+    exported = [getattr(binomconv, name) for name in binomconv.__all__]
+    classes = {
+        cls
+        for value in exported
+        if isinstance(value, type)
+        for cls in value.__mro__
+        if cls.__module__.startswith("binomconv.")
+    }
+    unreached = {
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, function in _members(cls).items()
+        if function.__code__ not in ran
+    }
+    assert unreached == set(UNREACHED_METHODS)
