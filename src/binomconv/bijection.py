@@ -37,12 +37,9 @@ from a bounded memo of MEMO_SIZE entries, so an exhaustive
 sweep computes few of them more than once.  The recursion memos are
 keyed by the uncompressed skeleton (forward) or the pair seed (inverse)
 and hold the expanded result, so a hit neither compresses nor expands.
-They store only keys no longer than SWEEP_LENGTH_LIMIT, the longest
-configuration a sweep enumerates; a longer key, from a long input, goes
-straight to the step.  A step that raises is never stored, so every
-check still runs on every input that fails it.  Traced calls never use
-the recursion memos: they recurse directly, and the trace records every
-level.
+A step that raises is never stored, so every check still runs on every
+input that fails it.  Traced calls never use the recursion memos: they
+recurse directly, and the trace records every level.
 """
 
 from __future__ import annotations
@@ -118,13 +115,6 @@ _DESCENT_PAIR = {"ba": "1.", "bA": ".1", "Ba": "2.", "BA": ".2"}
 #: A section of phi's input, captured: two consecutive tower or empty
 #: columns and the odd columns between them.
 _SECTION = re.compile("([.12][AaBb]*[.12])")
-
-#: The longest configuration an exhaustive sweep enumerates.  The
-#: untraced recursion memoizes a step only when its key, a skeleton or a
-#: pair seed, is no longer than this.  A key is never longer than its
-#: configuration, so every step of a sweep is memoized, while the long
-#: keys of long inputs, which seldom recur, are not stored.
-SWEEP_LENGTH_LIMIT = 10
 
 #: Entries kept by each of the four memos here: the two section
 #: rewrites and the two recursion memos.  The limit keeps a long-lived
@@ -271,8 +261,7 @@ def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
         return text
     skeleton = text.translate(_DROP_ODD)
     if trace is None:
-        step = _phi_memo if len(skeleton) <= SWEEP_LENGTH_LIMIT else _phi_skeleton
-        expanded = step(skeleton)
+        expanded = _phi_skeleton(skeleton)
     else:
         compressed = compress(skeleton)
         _note(trace, depth, "input", text)
@@ -308,8 +297,7 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
         return image
     pairs = decode_pairs(parts[1::2])
     if trace is None:
-        step = _phi_inverse_memo if len(pairs) <= SWEEP_LENGTH_LIMIT else _phi_inverse_seed
-        skeleton = step(pairs)
+        skeleton = _phi_inverse_seed(pairs)
     else:
         _note(trace, depth, "input", image)
         _note(trace, depth, "pair seed", pairs)
@@ -345,25 +333,23 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
     return result
 
 
-# The untraced recursive steps and their memos.  A step takes the
+# The untraced recursive steps, each its own memo.  A step takes the
 # uncompressed skeleton or pair seed and returns the expanded result, so a
 # memo hit compresses and expands nothing.  Every step, here and in _phi
 # and _phi_inverse, is called by module-global name, so a step replaced
 # from outside is the one called once the memos are cleared.
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _phi_skeleton(skeleton: str) -> str:
     """_phi of the compressed skeleton, expanded, untraced."""
     return expand(_phi(compress(skeleton), None, 1))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _phi_inverse_seed(pairs: str) -> str:
     """_phi_inverse of the compressed pair seed, expanded, untraced."""
     return expand(_phi_inverse(compress(pairs), None, 1))
-
-
-_phi_memo = lru_cache(maxsize=MEMO_SIZE)(_phi_skeleton)
-_phi_inverse_memo = lru_cache(maxsize=MEMO_SIZE)(_phi_inverse_seed)
 
 
 # ------------------------------------------ configurations in and out

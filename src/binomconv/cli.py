@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_parser.add_argument(
         "--n-max", type=int, default=None,
-        help=f"length/width bound (bijection sweeps accept at most {bijection.SWEEP_LENGTH_LIMIT})",
+        help=f"length/width bound (bijection sweeps accept at most {suites.SWEEP_LENGTH_LIMIT})",
     )
     verify_parser.add_argument(
         "--t-max", type=int, default=None, help="offset vector width bound"

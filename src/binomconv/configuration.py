@@ -136,6 +136,12 @@ def analyze(text: str) -> Profile:
     )
 
 
+def _require_length(n: object) -> None:
+    """Refuse n unless it is an int, not a bool, and nonnegative."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ConfigurationError("length must be a nonnegative integer")
+
+
 def _block(width: int, subset: Iterable[int], chars: str) -> str:
     """The compact string of a 2 x width block whose slots in subset carry
     one color.  Slots are numbered top row first, left to right; chars
@@ -177,8 +183,7 @@ def enumerate_ordered(n: int) -> Iterator[str]:
     two left blocks, so their right blocks are made one at a time
     instead of held.
     """
-    if n < 0:
-        raise ConfigurationError("length must be nonnegative")
+    _require_length(n)
     for i in range(n + 1):
         j = n - i
         shared = list(_blocks(j, ".bB2")) if i >= 2 else None
@@ -190,8 +195,7 @@ def enumerate_ordered(n: int) -> Iterator[str]:
 def enumerate_tower_free(n: int) -> Iterator[str]:
     """All 4^n tower-free configurations of length n, columns ranging in
     compact-alphabet order with the leftmost column slowest."""
-    if n < 0:
-        raise ConfigurationError("length must be nonnegative")
+    _require_length(n)
     for chars in itertools.product(ODD_CHARS, repeat=n):
         yield "".join(chars)
 

@@ -57,10 +57,10 @@ def require_count(name: str, value: object, least: int = 0) -> None:
 
 def exact_rational(value: object) -> Fraction:
     """value as a Fraction; only an int or a Fraction is accepted, so a
-    float cannot slip in as its binary expansion."""
+    float cannot slip in as its binary expansion, nor a bool as 0 or 1."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(
         f"expected an int or a Fraction, got {type(value).__name__} {value!r}"
@@ -342,7 +342,7 @@ def binomial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
     Zero for negative k, matching the summation conventions used
     throughout the identity checkers.
     """
-    if not isinstance(k, int):
+    if not isinstance(k, int) or isinstance(k, bool):
         raise OutOfRangeError("binomial lower index must be an integer")
     if isinstance(x, Polynomial):
         if k < 0:

@@ -11,7 +11,8 @@ deterministic functions of their bounds and seed, and cases are
 independent.  The default bounds of the three suites live in one table,
 DEFAULT_BOUNDS, which the builders and the command line both read.
 require_sweep_length is the one check of a bijection sweep length, for
-bijection_suite, the sweep itself and the enumerate command; every
+bijection_suite, the sweep itself and the enumerate command, and
+SWEEP_LENGTH_LIMIT, the longest sweep, sits beside it; every
 bound of the identities and series suites is a count, checked by
 exactnum.require_count, which this module never imports.
 
@@ -198,14 +199,18 @@ _RANK_DIGITS = str.maketrans(configuration.ODD_CHARS, "0123")
 _TOWER_FREE_DESCENT = re.compile("[Bb][Aa]")
 
 
+#: The longest configuration an exhaustive sweep enumerates.
+SWEEP_LENGTH_LIMIT = 10
+
+
 def require_sweep_length(name: str, value: object) -> None:
     """The one check of a sweep length: refuse value unless it is an
-    int, not a bool, from 0 to bijection.SWEEP_LENGTH_LIMIT.  A negative
-    length would sweep nothing and pass, and a longer one would mark
-    4^n images, 4 GiB at n = 16."""
-    limit = bijection.SWEEP_LENGTH_LIMIT
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= limit:
-        raise ValueError(f"{name} must be an integer from 0 to {limit}")
+    int, not a bool, from 0 to SWEEP_LENGTH_LIMIT.  A negative length
+    would sweep nothing and pass, and a longer one would mark 4^n
+    images, 4 GiB at n = 16."""
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if not integer or not 0 <= value <= SWEEP_LENGTH_LIMIT:
+        raise ValueError(f"{name} must be an integer from 0 to {SWEEP_LENGTH_LIMIT}")
 
 
 def exhaustive_bijection_failures(n: int) -> list[str]:

@@ -354,9 +354,9 @@ def test_each_configuration_function_refuses_characters_outside_the_alphabet(
 def test_phi_inverse_rejects_an_unbalanced_reconstruction(monkeypatch):
     # A skeleton that lost its tower rebuilds the section of ba with two
     # empties and no tower.
-    exact = bijection._phi_inverse_memo
+    exact = bijection._phi_inverse_seed
     monkeypatch.setattr(
-        bijection, "_phi_inverse_memo", lambda pairs: exact(pairs).replace("1", ".")
+        bijection, "_phi_inverse_seed", lambda pairs: exact(pairs).replace("1", ".")
     )
     with pytest.raises(NotInImageError) as error:
         phi_inverse(parse_compact("ba"))
@@ -547,7 +547,7 @@ def test_sweep_refuses_a_length_above_the_limit(monkeypatch):
     # Past the real limit the sweep would mark 4^n images (4 GiB at
     # n = 16) before it found anything, so the refusal is shown at a
     # lowered limit: it comes before the sweep runs.
-    monkeypatch.setattr(bijection, "SWEEP_LENGTH_LIMIT", 3)
+    monkeypatch.setattr(suites, "SWEEP_LENGTH_LIMIT", 3)
     with pytest.raises(ValueError) as refused:
         suites.exhaustive_bijection_failures(4)
     assert str(refused.value) == "n must be an integer from 0 to 3"

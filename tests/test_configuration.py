@@ -256,7 +256,9 @@ def test_enumerate_tower_free_counts_and_order():
 
 
 def test_enumerate_rejects_negative_length():
-    with pytest.raises(ConfigurationError):
-        list(enumerate_ordered(-1))
-    with pytest.raises(ConfigurationError):
-        list(enumerate_tower_free(-1))
+    # True would list the length-1 family, and 2.0 reach range's TypeError.
+    for enumerate_family in (enumerate_ordered, enumerate_tower_free):
+        for n in (-1, True, 2.0):
+            with pytest.raises(ConfigurationError) as refused:
+                list(enumerate_family(n))
+            assert str(refused.value) == "length must be a nonnegative integer"

@@ -145,8 +145,11 @@ def test_binomial_polynomial_upper_index():
 
 
 def test_binomial_requires_integer_lower_index():
-    with pytest.raises(OutOfRangeError):
-        binomial(3, Fraction(1, 2))
+    # True is an int to Python, and would give C(x, 1) = x.
+    for x, k in ((3, Fraction(1, 2)), (5, True), (X, True)):
+        with pytest.raises(OutOfRangeError) as refused:
+            binomial(x, k)
+        assert str(refused.value) == "binomial lower index must be an integer"
 
 
 @given(L=st.integers(-10, 20), i=st.integers(0, 20))
@@ -454,29 +457,40 @@ def test_finite_difference_accepts_polynomial_values():
 # ---------------------------------------------------------------- no floats
 
 
+#: Every entry point that takes an exact rational: a call that passes it
+#: the given value, and a float for that value.
 FLOAT_ENTRY_POINTS = {
-    "Polynomial": lambda: Polynomial((0.1,)),
-    "Polynomial.taylor_shift": lambda: X.taylor_shift(0.5),
-    "falling_factorial": lambda: falling_factorial(0.5, 2),
-    "binomial": lambda: binomial(0.5, 2),
-    "binomial_negative_k": lambda: binomial(0.5, -1),
-    "closed_form": lambda: identities.closed_form(2, 0.1),
-    "inclusion_exclusion_sum": lambda: identities.inclusion_exclusion_sum(2.0, 1),
-    "opposite_offsets_check": lambda: identities.opposite_offsets_check(2, 0.5),
-    "shift_invariance_poly": lambda: identities.shift_invariance_poly(2, 0.5),
-    "delta_formula_check": lambda: identities.delta_formula_check(2, 0.5),
-    "base_series": lambda: series.base_series("binomial_power", 4, 0.5),
-    "derivative_identity_check": lambda: series.derivative_identity_check(
-        "gt", 0.5, n_max=1, order=16
+    "Polynomial": (lambda c: Polynomial((c,)), 0.1),
+    "Polynomial.taylor_shift": (X.taylor_shift, 0.5),
+    "falling_factorial": (lambda x: falling_factorial(x, 2), 0.5),
+    "binomial": (lambda x: binomial(x, 2), 0.5),
+    "binomial_negative_k": (lambda x: binomial(x, -1), 0.5),
+    "closed_form": (lambda t: identities.closed_form(2, t), 0.1),
+    "convolution_sums": (lambda a: identities.convolution_sums((a, 0), 3), 0.5),
+    "inclusion_exclusion_sum": (lambda L: identities.inclusion_exclusion_sum(L, 1), 2.0),
+    "opposite_offsets_check": (lambda L: identities.opposite_offsets_check(2, L), 0.5),
+    "shift_invariance_poly": (lambda a: identities.shift_invariance_poly(2, a), 0.5),
+    "delta_formula_check": (lambda a: identities.delta_formula_check(2, a), 0.5),
+    "base_series": (lambda r: series.base_series("binomial_power", 4, r), 0.5),
+    "series_pow": (lambda r: series.series_pow(series.base_series("g", 4), r), 0.5),
+    "derivative_identity_check": (
+        lambda t: series.derivative_identity_check("gt", t, n_max=1, order=16), 0.5
     ),
-    "coefficient_identity_check": lambda: series.coefficient_identity_check("gt", 0.5, 16),
+    "coefficient_identity_check": (
+        lambda t: series.coefficient_identity_check("gt", t, 16), 0.5
+    ),
 }
 
 
 @pytest.mark.parametrize("entry", FLOAT_ENTRY_POINTS)
 def test_exact_arithmetic_rejects_floats(entry):
-    with pytest.raises(TypeError, match="expected an int or a Fraction"):
-        FLOAT_ENTRY_POINTS[entry]()
+    # A bool is an int to Python, yet True is no rational parameter.
+    call, number = FLOAT_ENTRY_POINTS[entry]
+    for value in (number, True):
+        with pytest.raises(TypeError) as refused:
+            call(value)
+        kind = type(value).__name__
+        assert str(refused.value) == f"expected an int or a Fraction, got {kind} {value!r}"
 
 
 #: Every count check, by entry point: a call that passes its count

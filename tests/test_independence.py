@@ -31,10 +31,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import MEMOS
 from test_mutants import ALGEBRA_MUTANTS
 
 import binomconv
-from binomconv import bijection, cli, exactnum, identities, series, suites
+from binomconv import cli, exactnum, identities, series, suites
 from binomconv.exactnum import Polynomial
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
@@ -256,14 +257,6 @@ UNREACHED_METHODS = {
     "_IntegerForm.coefficients": "formats failure text only",
     "_IntegerForm.__rsub__": "the reflected half of -, kept to match __radd__",
 }
-
-MEMOS = (
-    bijection._phi_memo,
-    bijection._phi_inverse_memo,
-    bijection.phi_section_forward,
-    bijection.phi_section_inverse,
-    series._power,
-)
 
 
 def _commands_and_default_suites():

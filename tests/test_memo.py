@@ -10,26 +10,7 @@ import pytest
 
 from binomconv import bijection, cli, exactnum, identities, series, suites
 
-MEMOS = (
-    series._power,
-    bijection._phi_memo,
-    bijection._phi_inverse_memo,
-    bijection.phi_section_forward,
-    bijection.phi_section_inverse,
-)
-
 HALF = Fraction(1, 2)
-
-
-@pytest.fixture
-def cold_memos():
-    """Empty memos before and after the test, so no test sees results
-    another one left behind."""
-    for memo in MEMOS:
-        memo.cache_clear()
-    yield
-    for memo in MEMOS:
-        memo.cache_clear()
 
 
 def test_floats_are_refused_after_the_memo_is_warm(cold_memos):

@@ -20,13 +20,6 @@ from binomconv.exactnum import Polynomial
 
 N_MAX = 5
 
-MEMOS = (
-    bijection._phi_memo,
-    bijection._phi_inverse_memo,
-    bijection.phi_section_forward,
-    bijection.phi_section_inverse,
-)
-
 SWAP_DESCENTS = {"ba": "bA", "bA": "ba"}
 SWAP_TOWERS = str.maketrans("12", "21")
 SWAP_COLORS = str.maketrans("AaBb12", "BbAa21")
@@ -97,15 +90,6 @@ MUTANTS = [
         {f"exhaustive/n={n}" for n in range(N_MAX + 1)},
     ),
 ]
-
-
-@pytest.fixture
-def cold_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
-    yield
-    for memo in MEMOS:
-        memo.cache_clear()
 
 
 def _failing_cases() -> set[str]:
@@ -252,13 +236,6 @@ ALGEBRA_MUTANTS = [
 NOT_YET_CAUGHT: set[str] = set()
 
 
-@pytest.fixture
-def cold_powers():
-    series._power.cache_clear()
-    yield
-    series._power.cache_clear()
-
-
 def _failing_algebra_cases() -> set[str]:
     failing = set()
     for name in ("identities", "series"):
@@ -273,7 +250,7 @@ def _failing_algebra_cases() -> set[str]:
     ids=[mutant[0] for mutant in ALGEBRA_MUTANTS],
 )
 def test_each_algebra_mutant_fails_exactly_its_cases(
-    module, function, mutate, failing, cold_powers, monkeypatch
+    module, function, mutate, failing, cold_memos, monkeypatch
 ):
     monkeypatch.setattr(module, function, mutate(getattr(module, function)))
     assert _failing_algebra_cases() == failing

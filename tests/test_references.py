@@ -35,7 +35,9 @@ def test_every_tracer_target_resolves():
     assert missing == []
 
 
-def test_phi_and_phi_inverse_run_every_bijection_step_the_tracer_times(monkeypatch):
+def test_phi_and_phi_inverse_run_every_bijection_step_the_tracer_times(
+    cold_memos, monkeypatch
+):
     # A traced name that phi and phi_inverse never call would time nothing.
     steps = [
         path
@@ -45,13 +47,6 @@ def test_phi_and_phi_inverse_run_every_bijection_step_the_tracer_times(monkeypat
     assert sorted(steps) == [
         "compress", "decode_pairs", "expand", "phi_section_forward", "phi_section_inverse",
     ]
-    for memo in (
-        bijection._phi_memo,
-        bijection._phi_inverse_memo,
-        bijection.phi_section_forward,
-        bijection.phi_section_inverse,
-    ):
-        memo.cache_clear()
     calls = dict.fromkeys(steps, 0)
 
     def counting(name):
