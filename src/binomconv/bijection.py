@@ -38,8 +38,10 @@ sweep computes few of them more than once.  The recursion memos are
 keyed by the uncompressed skeleton (forward) or the pair seed (inverse)
 and hold the expanded result, so a hit neither compresses nor expands.
 A step that raises is never stored, so every check still runs on every
-input that fails it.  Traced calls never use the recursion memos: they
-recurse directly, and the trace records every level.
+input that fails it; the section memos are typed, so a bool or float
+variant never meets a warm entry of variant 1.  Traced calls never use
+the recursion memos: they recurse directly, and the trace records
+every level.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def expand(compressed: str) -> str:
     return compressed.translate(_UNPACK)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def phi_section_forward(section: str, variant: int) -> str:
     """Rewrite one section into a descent run of odd columns.
 
@@ -167,7 +169,7 @@ def phi_section_forward(section: str, variant: int) -> str:
     second-to-last columns disagree; variant 2 flips all but the first
     on disagreement of the second and last.
     """
-    if variant not in (1, 2):
+    if type(variant) is not int or variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     if len(section) < 2:
         raise MalformedSectionError("a section has at least two columns")
@@ -195,7 +197,7 @@ def phi_section_forward(section: str, variant: int) -> str:
     return head + run
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def phi_section_inverse(run: str, variant: int, ends: str) -> str:
     """Rewind one descent run back to a section.
 
@@ -207,7 +209,7 @@ def phi_section_inverse(run: str, variant: int, ends: str) -> str:
     expand gives it ("1.", "22", ".." and so on).  The output is a
     column fragment and need not be balanced on its own.
     """
-    if variant not in (1, 2):
+    if type(variant) is not int or variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     if len(run) < 2:
         raise MalformedSectionError("a section has at least two columns")

@@ -11,12 +11,12 @@ A configuration is its compact string, a plain str with one character
 of the alphabet .Aa1Bb2 per column: a dot for an empty column, A/a for
 a color-One slot in the top/bottom row, B/b for color Two, and 1/2 for
 a tower of that color.  The module provides parsing, which checks the
-alphabet and balance of outside input, enumeration of the two families
-that the bijection connects (the ordered one as the pairs of an i-subset
-of 2i slots and a j-subset of 2j slots), the analysis and a grid
-rendering.  The ordered rule is stated once, in _ordered_width, which
-the bijection's maps call too; they share the other underscore helpers
-on compact strings as well.
+type, alphabet and balance of outside input, enumeration of the two
+families that the bijection connects (the ordered one as the pairs of
+an i-subset of 2i slots and a j-subset of 2j slots), the analysis and a
+grid rendering.  The ordered rule is stated once, in _ordered_width,
+which the bijection's maps call too; they share the other underscore
+helpers on compact strings as well.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def _ordered_width(text: str) -> int | None:
 
 
 def _require_alphabet(text: str) -> None:
-    """Refuse the first character of text outside the alphabet."""
+    """Refuse a non-str, then the first character outside the alphabet."""
+    if not isinstance(text, str):
+        raise ConfigurationError(f"a configuration is a str, got {type(text).__name__}")
     if not _only(text, ALPHABET):
         for position, char in enumerate(text, start=1):
             if char not in ALPHABET:
@@ -202,7 +204,7 @@ def enumerate_tower_free(n: int) -> Iterator[str]:
 
 def parse_compact(text: str) -> str:
     """Check outside input in the one-character-per-column format: its
-    alphabet, then its balance.  Returns the text itself."""
+    type, its alphabet, then its balance.  Returns the text itself."""
     _require_alphabet(text)
     _require_balanced(text)
     return text

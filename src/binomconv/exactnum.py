@@ -2,7 +2,8 @@
 
 Rationals, dense univariate polynomials over the rationals, falling
 factorials, generalized binomial coefficients, and forward finite
-differences.  Everything here is exact; floats never appear.
+differences.  Everything here is exact; floats never appear, and no
+operand or parameter takes a bool as 0 or 1.
 
 The storage format is stated once, in _IntegerForm: a tuple of
 integer numerators over one positive denominator, in lowest terms.
@@ -149,8 +150,8 @@ class _IntegerForm:
 
     def _operand(self, other: object) -> tuple[Sequence[int], int] | None:
         """The numerators and denominator of a scalar or of an instance
-        of this class; None for anything else."""
-        if isinstance(other, (int, Fraction)):
+        of this class; None for anything else, a bool too."""
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return (other.numerator,), other.denominator
         if type(other) is type(self):
             self._check_operand(other)
@@ -184,8 +185,8 @@ class _IntegerForm:
         return self._from_integers([-c for c in self._num], self._den)
 
     def _scaled(self, other: object):
-        """self times a scalar; NotImplemented for anything else."""
-        if isinstance(other, (int, Fraction)):
+        """self times a scalar; NotImplemented for anything else, a bool too."""
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._from_integers(
                 [c * other.numerator for c in self._num], self._den * other.denominator
             )
@@ -203,7 +204,7 @@ class Polynomial(_IntegerForm):
     The integer form of _IntegerForm, lowest degree first, with no
     trailing zeros: the zero polynomial is ((), 1) and has degree -inf,
     and equal polynomials always compare and hash equal.  A constant
-    polynomial also equals, and hashes as, its scalar value.
+    polynomial also equals, and hashes as, its scalar value (not a bool).
     """
 
     __slots__ = ()
@@ -256,7 +257,7 @@ class Polynomial(_IntegerForm):
         return Polynomial._from_integers(out, self._den * (scale // q))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.is_constant and self.constant_value() == other
         return _IntegerForm.__eq__(self, other)
 

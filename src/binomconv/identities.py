@@ -5,13 +5,14 @@ The central object is the t-fold convolution sum
     S(n; o_1..o_t) = sum over compositions m_1+...+m_t = n of
                      prod_k binomial(2*m_k + o_k, m_k).
 
-With all offsets zero this is 4^n times a binomial in n and t/2; other
+With all offsets zero this is 4^n times a binomial in n and t/2, stated
+once in closed_form, which the g^t checks of series read too; other
 offset patterns (a pair summing to zero, a general zero-sum vector)
-reduce to the same closed form.  The polynomial checks at the end
-establish the offset-shift invariance used to prove the closed form:
-the sum is unchanged when a single offset pair (a, 0) is deformed to
-(a - x, x), and the finite-difference formula that drives that proof
-holds symbolically.
+reduce to it.  The polynomial checks at the end establish the
+offset-shift invariance used to prove the closed form: the sum is
+unchanged when a single offset pair (a, 0) is deformed to (a - x, x),
+and the finite-difference formula that drives that proof holds
+symbolically.
 
 Nothing is memoized, so a case's wall time does not depend on which
 cases ran before it; a check that sweeps a family builds the family's
@@ -174,14 +175,6 @@ def _integer_inclusion_exclusion_sum(L: int, p: int) -> Fraction:
             f"L={L}, p={p}: the summand rewritings give {total} and {counting}"
         )
     return Fraction(total)
-
-
-def opposite_offsets_check(n: int, L: Scalar) -> bool:
-    """A cancelling offset pair changes nothing: the two-fold sum with
-    offsets [-L, L] equals 4^n for every rational L."""
-    require_count("n", n)
-    L = exact_rational(L)
-    return convolution_sum((-L, L), n) == Fraction(4) ** n
 
 
 def shift_invariance_poly(n: int, a: Scalar) -> Polynomial:

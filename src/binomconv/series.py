@@ -31,7 +31,7 @@ and G(n, i) they use once per call, in two separate tables, so the two
 sides of the telescoping identity share no result.  Closed forms are
 never memoized, so each identity still compares two independent
 computations, and neither the exp/log route nor the binomial-power
-series goes through a memo.
+series goes through a memo.  The g^t checks read identities.closed_form.
 
 Everything is truncated at an explicit order N and arithmetic never
 reads past it; binary operations require equal orders.
@@ -44,6 +44,7 @@ from functools import lru_cache
 from math import factorial, gcd, perm
 from typing import Iterable
 
+from . import identities
 from .exactnum import (
     Polynomial,
     Scalar,
@@ -91,7 +92,7 @@ class TruncatedSeries(_IntegerForm):
         return len(self._num) - 1
 
     def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
+        if isinstance(n, bool) or not 0 <= n <= self.order:
             raise OrderExhaustedError(
                 f"coefficient {n} of a series truncated at order {self.order}"
             )
@@ -304,7 +305,7 @@ def derivative_identity_check(
     1..n_max at which they fail.
 
     gt: the n-th derivative of g^t, divided by n!, equals
-        4^n*binomial(n + t/2 - 1, n)*g^(t+2n).
+        identities.closed_form(n, t)*g^(t+2n).
     gC: the n-th derivative of g*C^l, divided by n!, equals
         sum over i of binomial(2n-i, n-i)*binomial(l+i-1, i)
         * g^(1+2n-i)*C^(l+i).
@@ -326,8 +327,7 @@ def derivative_identity_check(
 
         def holds(n: int) -> bool:
             lhs = nth_derivative(power, n) * Fraction(1, factorial(n))
-            scale = Fraction(4) ** n * binomial(param / 2 + n - 1, n)
-            rhs = _power("g", order, param + 2 * n) * scale
+            rhs = _power("g", order, param + 2 * n) * identities.closed_form(n, param)
             return lhs == rhs.truncate(order - n)
 
     elif variant == "C":
@@ -360,7 +360,7 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
     """Coefficient formulas for g^t, g*C^l, and C^l, checked at every
     index up to the truncation order.
 
-    gt: [x^n] g^t = 4^n*binomial(n + t/2 - 1, n).
+    gt: [x^n] g^t = identities.closed_form(n, t).
     gC: [x^n] g*C^l = binomial(2n + l, n).
     C:  [x^0] C^l = 1 and, for n >= 1,
         [x^n] C^l = l*(2n+l-1 falling n-1)/n!, a cancellation-safe form
@@ -370,10 +370,7 @@ def coefficient_identity_check(variant: str, param: Scalar, order: int) -> bool:
     param = exact_rational(param)
     if variant == "gt":
         f = _power("g", order, param)
-        return all(
-            f[n] == Fraction(4) ** n * binomial(param / 2 + n - 1, n)
-            for n in range(order + 1)
-        )
+        return all(f[n] == identities.closed_form(n, param) for n in range(order + 1))
     if variant == "gC":
         f = base_series("g", order) * _power("catalan", order, param)
         return all(f[n] == binomial(2 * n + param, n) for n in range(order + 1))

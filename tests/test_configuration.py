@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from binomconv.bijection import even_skeleton
 from binomconv.configuration import (
     BadCharacterError,
     ConfigurationError,
@@ -82,6 +83,16 @@ def test_parse_rejects_unbalanced_strings():
     with pytest.raises(InvalidSlotCountError) as error:
         parse_compact("1.1")
     assert str(error.value) == "4 colored slots in 3 columns"
+
+
+@pytest.mark.parametrize("entry", [parse_compact, render, analyze, even_skeleton])
+def test_input_that_is_no_str_is_a_configuration_error(entry):
+    # None and 5 once raised AttributeError, and bytes a TypeError.
+    for value in (None, 5, b"AB", ["A", "B"]):
+        with pytest.raises(ConfigurationError) as refused:
+            entry(value)
+        kind = type(value).__name__
+        assert str(refused.value) == f"a configuration is a str, got {kind}"
 
 
 def test_render_grid():

@@ -468,7 +468,6 @@ FLOAT_ENTRY_POINTS = {
     "closed_form": (lambda t: identities.closed_form(2, t), 0.1),
     "convolution_sums": (lambda a: identities.convolution_sums((a, 0), 3), 0.5),
     "inclusion_exclusion_sum": (lambda L: identities.inclusion_exclusion_sum(L, 1), 2.0),
-    "opposite_offsets_check": (lambda L: identities.opposite_offsets_check(2, L), 0.5),
     "shift_invariance_poly": (lambda a: identities.shift_invariance_poly(2, a), 0.5),
     "delta_formula_check": (lambda a: identities.delta_formula_check(2, a), 0.5),
     "base_series": (lambda r: series.base_series("binomial_power", 4, r), 0.5),
@@ -493,6 +492,45 @@ def test_exact_arithmetic_rejects_floats(entry):
         assert str(refused.value) == f"expected an int or a Fraction, got {kind} {value!r}"
 
 
+#: Every scalar operator of the integer form, each with its reflected
+#: twin: a float or a bool operand makes it return NotImplemented, so
+#: Python raises TypeError, as for any other operand it does not know.
+SCALAR_OPERATORS = {
+    "add": lambda f, c: f + c,
+    "radd": lambda f, c: c + f,
+    "sub": lambda f, c: f - c,
+    "rsub": lambda f, c: c - f,
+    "mul": lambda f, c: f * c,
+    "rmul": lambda f, c: c * f,
+}
+
+
+@pytest.mark.parametrize("form", ["Polynomial", "TruncatedSeries"])
+@pytest.mark.parametrize("operator", SCALAR_OPERATORS)
+def test_scalar_operators_refuse_floats_and_bools(operator, form):
+    f = X if form == "Polynomial" else series.base_series("g", 4)
+    apply = SCALAR_OPERATORS[operator]
+    for operand in (0.5, True, False):
+        with pytest.raises(TypeError):
+            apply(f, operand)
+    assert apply(f, 1) == apply(f, Fraction(1))
+
+
+def test_a_constant_polynomial_equals_its_value_but_no_bool():
+    one, zero = Polynomial((1,)), Polynomial(())
+    assert one == 1 and one == Fraction(1) and zero == 0
+    assert not one == True and not zero == False
+    assert one != True and zero != False
+
+
+@pytest.mark.parametrize("index", [-1, 5, True, False])
+def test_a_series_index_is_an_int_within_the_order(index):
+    f = series.base_series("g", 4)
+    with pytest.raises(series.OrderExhaustedError) as refused:
+        f[index]
+    assert str(refused.value) == f"coefficient {index} of a series truncated at order 4"
+
+
 #: Every count check, by entry point: a call that passes its count
 #: parameter the given value, the parameter's name, and the least
 #: admissible value (0 or 1).
@@ -507,7 +545,6 @@ COUNT_CHECKS = {
     "recurrence_check/t": (lambda t: identities.recurrence_check(t, 1), "t", 1),
     "recurrence_check/n_max": (lambda n_max: identities.recurrence_check(1, n_max), "n_max", 0),
     "inclusion_exclusion_sum": (lambda p: identities.inclusion_exclusion_sum(3, p), "p", 0),
-    "opposite_offsets_check": (lambda n: identities.opposite_offsets_check(n, 1), "n", 0),
     "shift_invariance_poly": (lambda n: identities.shift_invariance_poly(n, 0), "n", 0),
     "delta_formula_check": (lambda n: identities.delta_formula_check(n, 0), "n", 1),
     "nth_derivative": (lambda n: series.nth_derivative(series.base_series("g", 4), n), "n", 0),

@@ -18,7 +18,6 @@ from binomconv.identities import (
     delta_formula_check,
     inclusion_exclusion_sum,
     odd_t_forms,
-    opposite_offsets_check,
     recurrence_check,
     shift_invariance_poly,
 )
@@ -179,8 +178,8 @@ def test_an_off_by_one_offset_column_fails_the_closed_form_checks(monkeypatch):
 
     monkeypatch.setattr(identities, "_offset_column", perturbed)
     assert suites.zero_offset_closed_form_failures(2, 3) != []
-    assert not identities.opposite_offsets_check(3, 1)
-    assert not identities.opposite_offsets_check(3, Fraction(1, 2))
+    assert identities.convolution_sum((-1, 1), 3) != 4**3
+    assert identities.convolution_sum((Fraction(-1, 2), Fraction(1, 2)), 3) != 4**3
 
 
 # ----------------------------------------------------------------- closed form
@@ -332,17 +331,18 @@ def test_integer_inclusion_exclusion_matches_the_textbook_loop(L, data):
 
 
 def test_opposite_offsets_examples():
-    assert opposite_offsets_check(2, 5)
-    assert opposite_offsets_check(3, Fraction(1, 3))
-    assert opposite_offsets_check(4, 0)
+    # A cancelling offset pair [-L, L] sums to 4^n.
+    assert convolution_sum((-5, 5), 2) == 4**2
+    assert convolution_sum((Fraction(-1, 3), Fraction(1, 3)), 3) == 4**3
+    assert convolution_sum((0, 0), 4) == 4**4
     with pytest.raises(ValueError):
-        opposite_offsets_check(-2, 1)
+        convolution_sum((-1, 1), -2)
 
 
 @given(n=st.integers(0, 6), L=rational_offsets)
 @settings(max_examples=40, deadline=None)
 def test_opposite_offsets_random(n, L):
-    assert opposite_offsets_check(n, L)
+    assert convolution_sum((-L, L), n) == 4**n
 
 
 SHIFT_PARAMETERS = (

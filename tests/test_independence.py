@@ -184,6 +184,16 @@ def test_g_times_a_catalan_power_and_its_binomial_coefficients_share_only_input_
     assert names(shared) == {"exactnum.exact_rational"}
 
 
+def test_a_power_of_g_and_the_t_fold_closed_form_share_only_input_checks():
+    # The two sides of both g^t checks of the series suite.
+    g, t = series.base_series("g", 32), Fraction(7, 2)
+    shared = reached(lambda: series.series_pow(g, t)) & reached(
+        lambda: [identities.closed_form(n, t) for n in range(33)]
+    )
+    # Passes the exponent and the width through as a Fraction.
+    assert names(shared) == {"exactnum.exact_rational"}
+
+
 def test_the_telescoped_sum_and_its_closed_form_share_the_polynomial_binomial():
     sizes = range(18)
     shared = reached(

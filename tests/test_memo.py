@@ -1,8 +1,8 @@
 """The once-per-process memos of series powers and the
 bijection's recursive steps and section rewrites, and the family checks
 that build their shared inputs once per call: they recompute nothing,
-refuse floats even when warm, leave traces whole, and let an injected
-fault through to the verdict."""
+refuse floats (and a bool section variant) even when warm, leave traces
+whole, and let an injected fault through to the verdict."""
 
 from fractions import Fraction
 
@@ -40,6 +40,21 @@ def test_suite_powers_and_certificate_indices_refuse_floats_when_warm(cold_memos
         series.certificate_summand(2, 1.0)
     with pytest.raises(exactnum.OutOfRangeError):
         series.certificate_multiplier(2.0, 1)
+
+
+@pytest.mark.parametrize("variant", [True, 1.0])
+def test_section_rewrites_refuse_a_bool_or_float_variant_when_warm(cold_memos, variant):
+    # True == 1.0 == 1 and all three hash alike: only typed memos and a
+    # type check keep a warm variant-1 entry from answering them.
+    run = bijection.phi_section_forward("1A.", 1)
+    assert bijection.phi_section_inverse(run, 1, "1.") == "1A."
+    for rewrite in (
+        lambda: bijection.phi_section_forward("1A.", variant),
+        lambda: bijection.phi_section_inverse(run, variant, "1."),
+    ):
+        with pytest.raises(ValueError) as refused:
+            rewrite()
+        assert str(refused.value) == f"variant must be 1 or 2, got {variant!r}"
 
 
 def test_a_perturbed_series_power_fails_the_series_checks(cold_memos, monkeypatch):
@@ -106,7 +121,7 @@ def test_each_series_power_of_the_series_suite_is_computed_once(
 
 def test_a_perturbed_binomial_fails_the_certificate_checks(cold_memos, monkeypatch):
     exact = series.binomial
-    monkeypatch.setattr(series, "binomial", lambda x, k: exact(x, k) + (k == 2))
+    monkeypatch.setattr(series, "binomial", lambda x, k: exact(x, k) + int(k == 2))
     assert suites.wz_certificate_failures(4) != []
     assert suites.telescoped_sum_failures(4) != []
 

@@ -208,6 +208,8 @@ ALGEBRA_MUTANTS = [
             "identities/odd-width-forms",
             "identities/zero-offset-closed-form",
             "identities/zero-sum-offsets",
+            "series/coefficient-identities",
+            "series/derivative-identities",
         },
     ),
     (

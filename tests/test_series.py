@@ -526,7 +526,7 @@ def test_one_perturbed_multiplier_fails_the_two_points_that_use_it(
     exact = series.certificate_multiplier
 
     def perturbed(n, i):
-        return exact(n, i) + ((n, i) == (n0, i0))
+        return exact(n, i) + int((n, i) == (n0, i0))
 
     monkeypatch.setattr(series, "certificate_multiplier", perturbed)
     # G(n0, i0) enters the equation at i = i0 - 1 and at i = i0.
@@ -538,7 +538,7 @@ def test_a_shifted_row_of_multipliers_fails_only_at_its_boundaries(n0, monkeypat
     exact = series.certificate_multiplier
 
     def shifted(n, i):
-        return exact(n, i) + (n == n0)
+        return exact(n, i) + int(n == n0)
 
     monkeypatch.setattr(series, "certificate_multiplier", shifted)
     # Every difference G(n0, i+1) - G(n0, i) is unchanged; only the
