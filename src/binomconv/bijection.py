@@ -35,8 +35,9 @@ such as "1.".
 Each section rewrite, and each recursive step of an untraced call, comes
 from a bounded memo of MEMO_SIZE entries, so an exhaustive
 sweep computes few of them more than once.  The recursion memos are
-keyed by the uncompressed skeleton (forward) or the pair seed (inverse)
-and hold the expanded result, so a hit neither compresses nor expands.
+keyed by the uncompressed skeleton (forward) or the descents joined
+into one string (inverse) and hold the expanded result, so a hit
+neither decodes, compresses nor expands.
 A step that raises is never stored, so every check still runs on every
 input that fails it; the section memos are typed, so a bool or float
 variant never meets a warm entry of variant 1.  Traced calls never use
@@ -255,9 +256,14 @@ def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
     sections are the first t: m < t, with t the count of "1".  The rule
     holds at every level because the compressed skeleton of a balanced,
     ordered string is itself balanced and ordered, with a color-One block
-    of t columns: the packed pairs of the parent's One block.
+    of t columns: the packed pairs of the parent's One block.  Every
+    tower and empty column of balanced, ordered text lies in a section,
+    so text that splits into no section is tower-free: a fixed point.
     """
-    if _only(text, ODD_CHARS):
+    # The odd stretches at the even indices, the sections at the odd ones;
+    # each section is replaced in place by its image, which is as long.
+    parts = _SECTION.split(text)
+    if len(parts) == 1:
         if trace is not None:
             _note(trace, depth, "fixed point", text)
         return text
@@ -271,9 +277,6 @@ def _phi(text: str, trace: TraceLog | None, depth: int) -> str:
         expanded = expand(_phi(compressed, trace, depth + 1))
         _note(trace, depth, "expanded image", expanded)
     one_towers = text.count("1")
-    # The odd stretches at the even indices, the sections at the odd ones;
-    # each section is replaced in place by its image, which is as long.
-    parts = _SECTION.split(text)
     for k in range(1, len(parts), 2):
         variant = 1 if k // 2 < one_towers else 2
         section = expanded[k - 1] + parts[k][1:-1] + expanded[k]
@@ -297,10 +300,10 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
         if trace is not None:
             _note(trace, depth, "fixed point", image)
         return image
-    pairs = decode_pairs(parts[1::2])
     if trace is None:
-        skeleton = _phi_inverse_seed(pairs)
+        skeleton = _phi_inverse_seed("".join(parts[1::2]))
     else:
+        pairs = decode_pairs(parts[1::2])
         _note(trace, depth, "input", image)
         _note(trace, depth, "pair seed", pairs)
         skeleton = expand(_phi_inverse(compress(pairs), trace, depth + 1))
@@ -336,10 +339,11 @@ def _phi_inverse(image: str, trace: TraceLog | None, depth: int) -> str:
 
 
 # The untraced recursive steps, each its own memo.  A step takes the
-# uncompressed skeleton or pair seed and returns the expanded result, so a
-# memo hit compresses and expands nothing.  Every step, here and in _phi
-# and _phi_inverse, is called by module-global name, so a step replaced
-# from outside is the one called once the memos are cleared.
+# uncompressed skeleton or the joined descents and returns the expanded
+# result, so a memo hit decodes, compresses and expands nothing.  Every
+# step, here and in _phi and _phi_inverse, is called by module-global
+# name, so a step replaced from outside is the one called once the memos
+# are cleared.  A str key, unlike a tuple, is its own lru_cache key.
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -349,8 +353,10 @@ def _phi_skeleton(skeleton: str) -> str:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _phi_inverse_seed(pairs: str) -> str:
-    """_phi_inverse of the compressed pair seed, expanded, untraced."""
+def _phi_inverse_seed(descents: str) -> str:
+    """_phi_inverse of the compressed pair seed that the descents, joined
+    two columns each, spell; expanded, untraced."""
+    pairs = decode_pairs(map(operator.add, descents[::2], descents[1::2]))
     return expand(_phi_inverse(compress(pairs), None, 1))
 
 

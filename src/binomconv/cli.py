@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: map (apply the bijection or its inverse to one
-configuration), render (re-serialize a configuration), enumerate (list
-a configuration family), and verify (run the verification suites and
-emit a text or JSON report).  verify runs the cases in order, in one
-process; a bound flag left out takes its value from
-suites.DEFAULT_BOUNDS, and a bound flag that no selected suite takes is
-a usage error.  map, render, enumerate and verify --suite bijection load
-only the combinatorial layer; the algebraic and analytic layers are
-imported when an identities or series suite is built, and json only
-for verify --format json.
+configuration), render (draw a configuration as its 2-row grid),
+enumerate (list a configuration family), and verify (run the
+verification suites and print a text or JSON report).  Every command
+writes to stdout, so a report goes to a file by redirection.  verify
+runs the cases in order, in one process; a bound flag left out takes
+its value from suites.DEFAULT_BOUNDS, and a bound flag that no selected
+suite takes is a usage error.  map, render, enumerate and verify
+--suite bijection load only the combinatorial layer; the algebraic and
+analytic layers are imported when an identities or series suite is
+built, and json only for verify --format json.
 
 Exit codes: 0 on success, 1 when a verification case fails, 2 for
 usage, parse, domain or output errors (a reader that closes the pipe
@@ -19,6 +20,7 @@ early included).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from typing import Sequence
@@ -52,11 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true", help="print each recursion step"
     )
 
-    render_parser = sub.add_parser("render", help="re-serialize a configuration")
+    render_parser = sub.add_parser("render", help="draw a configuration as its 2-row grid")
     render_parser.add_argument("config", help="configuration in compact format")
-    render_parser.add_argument(
-        "--mode", choices=("compact", "grid"), default="grid", help="output format"
-    )
 
     enum_parser = sub.add_parser("enumerate", help="list a configuration family")
     enum_parser.add_argument("kind", choices=("ordered", "tower-free"))
@@ -87,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--format", choices=("text", "json"), default="text"
     )
-    verify_parser.add_argument(
-        "--out", default=None, help="write the report to this path instead of stdout"
-    )
     return parser
 
 
@@ -110,8 +106,8 @@ def cmd_map(args: argparse.Namespace) -> int:
         return _fail(str(error))
     if trace:
         print(bijection.format_trace(trace))
-    print(configuration.render(image, "compact"))
-    print(configuration.render(image, "grid"))
+    print(image)
+    print(configuration.render(image))
     return 0
 
 
@@ -120,7 +116,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         config = configuration.parse_compact(args.config)
     except configuration.ConfigurationError as error:
         return _fail(str(error))
-    print(configuration.render(config, args.mode))
+    print(configuration.render(config))
     return 0
 
 
@@ -136,12 +132,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.kind == "ordered"
         else configuration.enumerate_tower_free
     )
-    emitted = 0
-    for config in produce(args.n):
-        if args.limit is not None and emitted >= args.limit:
-            break
-        print(configuration.render(config, "compact"))
-        emitted += 1
+    for config in itertools.islice(produce(args.n), args.limit):
+        print(config)
     return 0
 
 
@@ -167,22 +159,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json
 
-        payload = json.dumps(report.to_dict(), indent=2)
+        print(json.dumps(report.to_dict(), indent=2))
     else:
-        payload = report.to_text()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-        except OSError as error:
-            return _fail(f"cannot write the report to {args.out}: {error.strerror or error}")
-        totals = report.totals
-        print(
-            f"{args.suite}: {totals['pass']} passed, {totals['fail']} failed; "
-            f"report written to {args.out}"
-        )
-    else:
-        print(payload)
+        print(report.to_text())
     return 0 if report.all_passed else 1
 
 

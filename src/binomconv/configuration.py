@@ -13,8 +13,9 @@ a color-One slot in the top/bottom row, B/b for color Two, and 1/2 for
 a tower of that color.  The module provides parsing, which checks the
 type, alphabet and balance of outside input, enumeration of the two
 families that the bijection connects (the ordered one as the pairs of
-an i-subset of 2i slots and a j-subset of 2j slots), the analysis and a
-grid rendering.  The ordered rule is stated once, in _ordered_width,
+an i-subset of 2i slots and a j-subset of 2j slots), the analysis and
+render, which draws the 2-row grid; the compact string is its own
+serialization.  The ordered rule is stated once, in _ordered_width,
 which the bijection's maps call too; they share the other underscore
 helpers on compact strings as well.
 """
@@ -198,8 +199,7 @@ def enumerate_tower_free(n: int) -> Iterator[str]:
     """All 4^n tower-free configurations of length n, columns ranging in
     compact-alphabet order with the leftmost column slowest."""
     _require_length(n)
-    for chars in itertools.product(ODD_CHARS, repeat=n):
-        yield "".join(chars)
+    yield from map("".join, itertools.product(ODD_CHARS, repeat=n))
 
 
 def parse_compact(text: str) -> str:
@@ -215,16 +215,9 @@ _TOP_ROW = str.maketrans(ALPHABET, ".O.OX.X")
 _BOTTOM_ROW = str.maketrans(ALPHABET, "..OO.XX")
 
 
-def render(text: str, mode: str = "compact") -> str:
-    """Serialize a configuration.
-
-    compact: one character per column over the alphabet .Aa1Bb2.
-    grid: two newline-joined rows, O for a color-One slot, X for a
-    color-Two slot, and a dot for an uncolored slot.
-    """
+def render(text: str) -> str:
+    """The configuration as a 2-row grid: two newline-joined rows, O for
+    a color-One slot, X for a color-Two slot, and a dot for an uncolored
+    slot."""
     _require_alphabet(text)
-    if mode == "compact":
-        return text
-    if mode == "grid":
-        return text.translate(_TOP_ROW) + "\n" + text.translate(_BOTTOM_ROW)
-    raise ValueError(f"unknown render mode {mode!r}")
+    return text.translate(_TOP_ROW) + "\n" + text.translate(_BOTTOM_ROW)

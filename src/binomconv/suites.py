@@ -5,8 +5,9 @@ A case is data: an id, a module-level checker and the keyword
 arguments it is called with, so the reported inputs are the call itself
 and a case pickles.  An exact case compares the checker's result, as a
 string, with a pinned expected value; a family case's checker returns
-the failures of a whole sweep, and the report shows the first few
-counterexamples, so a failure is directly actionable.  Case lists are
+the failures of a whole sweep as a list of str, and the report shows
+the first few counterexamples, so a failure is directly actionable.
+Each case is timed apart from its verdict (see Report).  Case lists are
 deterministic functions of their bounds and seed, and cases are
 independent.  The default bounds of the three suites live in one table,
 DEFAULT_BOUNDS, which the builders and the command line both read.
@@ -75,17 +76,20 @@ class Case:
 
 
 class CaseResult(NamedTuple):
-    """The verdict of one case, an immutable NamedTuple."""
+    """The verdict of one case and its seconds, an immutable NamedTuple."""
 
     id: str
     inputs: dict[str, str]
     expected: str
     actual: str
     passed: bool
+    seconds: float
 
 
 class Report(NamedTuple):
-    """The verdicts of one run, in case order, an immutable NamedTuple."""
+    """The verdicts of one run, in case order, an immutable NamedTuple.
+    to_dict keeps the timings apart, under the top-level keys wall_time
+    and timing (case id to seconds); to_text prints wall_time alone."""
 
     suite: str
     cases: tuple[CaseResult, ...]
@@ -115,6 +119,7 @@ class Report(NamedTuple):
             ],
             "totals": self.totals,
             "wall_time": self.wall_time,
+            "timing": {c.id: c.seconds for c in self.cases},
         }
 
     def to_text(self) -> str:
@@ -151,25 +156,27 @@ def _outcome(case: Case) -> tuple[str, str]:
 
 
 def run_cases(suite: str, cases: Iterable[Case]) -> Report:
-    """Execute cases in order into a Report."""
-    cases = list(cases)
+    """Execute cases in order into a Report, timing each."""
+    results = []
     start = time.perf_counter()
-    outcomes = [_outcome(c) for c in cases]
-    wall = time.perf_counter() - start
-    results = tuple(
-        CaseResult(
-            id=case.id,
-            inputs=case.inputs,
-            expected=expected,
-            actual=actual,
-            passed=expected == actual,
+    for case in cases:
+        begun = time.perf_counter()
+        expected, actual = _outcome(case)
+        seconds = time.perf_counter() - begun
+        results.append(
+            CaseResult(case.id, case.inputs, expected, actual, expected == actual, seconds)
         )
-        for case, (expected, actual) in zip(cases, outcomes)
-    )
-    return Report(suite=suite, cases=results, wall_time=wall)
+    return Report(suite=suite, cases=tuple(results), wall_time=time.perf_counter() - start)
 
 
-def _summarize(failures: list[str]) -> tuple[str, str]:
+def _summarize(failures: object) -> tuple[str, str]:
+    """OK against a family's first few failures.  A result that is not a
+    list of str, such as None or a generator, fails, naming its type."""
+    if not isinstance(failures, list):
+        return OK, f"the check returned {type(failures).__name__}, not a list of str"
+    strays = sorted({type(f).__name__ for f in failures if not isinstance(f, str)})
+    if strays:
+        return OK, f"the check returned a list holding {', '.join(strays)}, not a list of str"
     if not failures:
         return OK, OK
     shown = "; ".join(failures[:MAX_REPORTED_FAILURES])

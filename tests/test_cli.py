@@ -33,7 +33,7 @@ def test_map_forward_golden(capsys):
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert lines[0] == GOLDEN_IMAGE
-    assert lines[1:] == render(parse_compact(GOLDEN_IMAGE), "grid").splitlines()
+    assert lines[1:] == render(parse_compact(GOLDEN_IMAGE)).splitlines()
 
 
 def test_map_inverse_golden(capsys):
@@ -129,10 +129,11 @@ def test_render_defaults_to_grid(capsys):
     assert out == "O.\nO.\n"
 
 
-def test_render_compact(capsys):
-    code, out, _ = run_cli(["render", GOLDEN, "--mode", "compact"], capsys)
-    assert code == 0
-    assert out.strip() == GOLDEN
+def test_render_takes_no_mode(capsys):
+    # The grid is the one rendering; the compact string is the input.
+    code, out, err = run_cli(["render", "AB", "--mode", "grid"], capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --mode grid" in err
 
 
 def test_render_rejects_bad_configuration(capsys):
@@ -233,31 +234,32 @@ def test_verify_json_is_deterministic(capsys):
     ]
     first = json.loads(run_cli(argv, capsys)[1])
     second = json.loads(run_cli(argv, capsys)[1])
-    first.pop("wall_time")
-    second.pop("wall_time")
+    for payload in (first, second):
+        payload.pop("wall_time")
+        payload.pop("timing")
     assert first == second
 
 
-def test_verify_out_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    argv = [
-        "verify", "--suite", "series", "--order", "16",
-        "--format", "json", "--out", str(target),
-    ]
+def test_verify_json_times_each_case_apart_from_the_verdicts(capsys):
+    argv = ["verify", "--suite", "bijection", "--n-max", "3", "--format", "json"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert f"report written to {target}" in out
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["totals"]["fail"] == 0
+    payload = json.loads(out)
+    timing = payload["timing"]
+    assert list(timing) == [case["id"] for case in payload["cases"]]
+    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timing.values())
+    assert sum(timing.values()) <= payload["wall_time"]
+    assert all(set(case) == {"id", "inputs", "expected", "actual", "pass"}
+               for case in payload["cases"])
 
 
-def test_verify_out_to_missing_directory(tmp_path, capsys):
-    target = tmp_path / "missing" / "report.json"
+def test_verify_takes_no_out(tmp_path, capsys):
+    # The report goes to stdout; redirection writes it to a file.
+    target = tmp_path / "report.json"
     argv = ["verify", "--suite", "bijection", "--n-max", "1", "--out", str(target)]
     code, out, err = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and str(target) in err
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --out" in err
     assert not target.exists()
 
 
@@ -378,6 +380,46 @@ def test_verify_reports_raising_case_and_runs_the_rest(monkeypatch, capsys):
     ]
     assert [case["pass"] for case in payload["cases"]] == [True, False, True]
     assert payload["cases"][1]["actual"] == "ZeroDivisionError: division by zero"
+    assert payload["totals"] == {"pass": 2, "fail": 1}
+
+
+def no_verdict():
+    return None
+
+
+def failures_one_at_a_time():
+    yield "n=1"
+
+
+def failure_counts():
+    return ["n=1", 2]
+
+
+@pytest.mark.parametrize(
+    "family, actual",
+    [
+        (no_verdict, "the check returned NoneType, not a list of str"),
+        (failures_one_at_a_time, "the check returned generator, not a list of str"),
+        (failure_counts, "the check returned a list holding int, not a list of str"),
+    ],
+    ids=["none", "generator", "list-of-int"],
+)
+def test_verify_fails_a_family_that_returns_no_list_of_str_and_runs_the_rest(
+    family, actual, monkeypatch, capsys
+):
+    # A falsy result must not read "all hold", nor a generator abort the run.
+    synthetic = [
+        suites.Case("synthetic/first", str, {"object": "x"}, expected="x"),
+        suites.Case("synthetic/no-list", family, {}),
+        suites.Case("synthetic/last", str, {"object": "y"}, expected="y"),
+    ]
+    monkeypatch.setattr(suites, "bijection_suite", lambda n_max: synthetic)
+    code, out, _ = run_cli(["verify", "--suite", "bijection", "--format", "json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert [case["pass"] for case in payload["cases"]] == [True, False, True]
+    assert payload["cases"][1]["expected"] == suites.OK
+    assert payload["cases"][1]["actual"] == actual
     assert payload["totals"] == {"pass": 2, "fail": 1}
 
 

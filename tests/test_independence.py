@@ -194,6 +194,30 @@ def test_a_power_of_g_and_the_t_fold_closed_form_share_only_input_checks():
     assert names(shared) == {"exactnum.exact_rational"}
 
 
+def test_the_shifted_polynomial_sum_and_the_unshifted_sums_share_input_checks_and_the_product():
+    # The two sides of identities/shift-invariance.
+    offsets = suites.SHIFT_PARAMETERS
+    shared = reached(
+        lambda: [identities.shift_invariance_poly(n, a) for n in range(9) for a in offsets]
+    ) & reached(lambda: [identities.convolution_sums((a, 0), 8) for a in offsets])
+    assert names(shared) == {
+        # Passes the offset through as a Fraction.
+        "exactnum.exact_rational",
+        # Refuses a bad size; it returns nothing.
+        "exactnum.require_count",
+        # The integer Cauchy product: every Polynomial product of the
+        # shifted sum and every column product of the unshifted sums.
+        # It computes, so a mutant of it in every importer must fail the
+        # case: the shifted sum stays a constant with the same value,
+        # since the mutant's rescaling fixes the constant term, while
+        # the unshifted sums move.
+        "exactnum.integer_convolution",
+    }
+    assert "identities/shift-invariance" in CAUGHT[
+        "integer_convolution in every importer with entry k scaled by k + 1"
+    ]
+
+
 def test_the_telescoped_sum_and_its_closed_form_share_the_polynomial_binomial():
     sizes = range(18)
     shared = reached(
@@ -234,7 +258,7 @@ CI_COMMANDS = (
     ("map 1.2. --forward --trace", 0),
     ("map BbAbabBaAbA --inverse", 0),
     ("map aBBAaaBbABBBb --inverse --trace", 0),
-    ("render .A11.b2B2.. --mode grid", 0),
+    ("render .A11.b2B2..", 0),
     ("enumerate ordered 3 --limit 5", 0),
     ("verify --suite bijection --n-max 6", 0),
     ("verify --suite bijection --n-max 6 --format json", 0),
@@ -243,6 +267,8 @@ CI_COMMANDS = (
     ("verify --suite bijection --n-max 11", 2),
     ("verify --suite identities --n-max 0", 2),
     ("enumerate ordered -1", 2),
+    ("render AB --mode grid", 2),
+    ("verify --suite bijection --n-max 1 --out r.json", 2),
 )
 
 #: The public names that no command of CI and no default suite reaches,
@@ -274,7 +300,10 @@ def _commands_and_default_suites():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
             io.StringIO()
         ):
-            assert cli.main(command.split()) == code, command
+            try:
+                assert cli.main(command.split()) == code, command
+            except SystemExit as refused:  # argparse refuses a usage error
+                assert refused.code == code, command
     for name, cases in (
         ("bijection", suites.bijection_suite(4)),
         ("identities", suites.identities_suite(n_max=8, t_max=2)),

@@ -149,8 +149,10 @@ RATIONAL_OFFSET_CASES = {
 #: (name, module, function, mutant of the exact function, the identities
 #: and series cases it fails).  Each mutant is patched only in the module
 #: named, whose own functions look the name up there, so an exactnum name
-#: is mutated for one importer at a time.  Integer-offset columns have
-#: scale 1 and never reach over_factorial_scales.  The shifted binomial
+#: is mutated for one importer at a time; a row that names a tuple of
+#: modules patches the function in each, a fault of the function itself.
+#: Integer-offset columns have scale 1 and never reach
+#: over_factorial_scales.  The shifted binomial
 #: moves both sides of the telescoped sum to x + 1 together, so that
 #: comparison still holds; the two certificate cases fail through the
 #: clauses that spell x out.  In identities the shifted binomial fails
@@ -220,6 +222,29 @@ ALGEBRA_MUTANTS = [
         {"identities/inclusion-exclusion-integer", "identities/difference-formula"},
     ),
     (
+        "integer_convolution in every importer with entry k scaled by k + 1",
+        (exactnum, identities, series),
+        "integer_convolution",
+        lambda exact: lambda a, b, length: [
+            value * (k + 1) for k, value in enumerate(exact(a, b, length))
+        ],
+        RATIONAL_OFFSET_CASES
+        | {
+            "identities/power-of-four",
+            "identities/enumeration-count",
+            "identities/zero-offset-closed-form",
+            "identities/reindexed-offset-pair",
+            "identities/recurrence",
+            "identities/opposite-offsets-integer",
+            "series/coefficient-identities",
+            "series/derivative-identities",
+            "series/derivative-laws",
+            "series/power-additivity",
+            "series/telescoped-sum",
+            "series/wz-certificate",
+        },
+    ),
+    (
         "_falling_numerators one factor short",
         exactnum,
         "_falling_numerators",
@@ -254,7 +279,8 @@ def _failing_algebra_cases() -> set[str]:
 def test_each_algebra_mutant_fails_exactly_its_cases(
     module, function, mutate, failing, cold_memos, monkeypatch
 ):
-    monkeypatch.setattr(module, function, mutate(getattr(module, function)))
+    for home in module if isinstance(module, tuple) else (module,):
+        monkeypatch.setattr(home, function, mutate(getattr(home, function)))
     assert _failing_algebra_cases() == failing
 
 
