@@ -159,28 +159,24 @@ def _blocks(width: int, chars: str) -> Iterator[str]:
     """_block of every width-subset of the 2*width slots, in the order
     of itertools.combinations.
 
-    A block is read as a base-4 number with one digit per column,
+    A block is read as a hex number with one digit per column,
     2*(top slot colored) + (bottom slot colored), so each slot adds a
-    fixed weight: 2*4^(width-k) for top slot k and 4^(width-k) for
-    bottom slot width+k.  The hex form of the sum spells two columns per
-    digit.  The sum starts from 4^width, so it has no leading zeros to
-    pad: that extra digit spells two characters for an even width and
-    one for an odd width (hex 4 + the first column's digit), which are
-    cut off.
-    """
-    weights = [2 * 4 ** (width - k) for k in range(1, width + 1)]
+    fixed weight: 2*16^(width-k) for top slot k and 16^(width-k) for
+    bottom slot width+k.  The sum starts from 16^width, so it has no
+    leading zeros to pad; that leading 1 is cut off and chars spells
+    each digit 0-3."""
+    weights = [2 * 16 ** (width - k) for k in range(1, width + 1)]
     weights += [weight // 2 for weight in weights]
-    spell = str.maketrans({f"{d:x}": chars[d >> 2] + chars[d & 3] for d in range(16)})
-    lead, skip = 4**width, 2 - width % 2
+    spell = str.maketrans("0123", chars)
     for combination in itertools.combinations(weights, width):
-        yield format(sum(combination, lead), "x").translate(spell)[skip:]
+        yield format(sum(combination, 16**width), "x")[1:].translate(spell)
 
 
 def enumerate_ordered(n: int) -> Iterator[str]:
     """All ordered configurations of length n, in lexicographic order of
     (i, ones-subset, twos-subset).
 
-    Blocks are spelled from base-4 sums (_blocks).  For i >= 2 the right
+    Blocks are spelled from hex sums (_blocks).  For i >= 2 the right
     blocks of width n - i are built once per i and shared by every left
     block.  The rows of i = 0 and i = 1 are the widest and have one and
     two left blocks, so their right blocks are made one at a time

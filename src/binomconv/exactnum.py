@@ -12,12 +12,13 @@ validation, coefficients, sums over the lcm of the denominators,
 negation, scalar products and equality; each subclass names its normal
 form (a Polynomial drops trailing zeros, a series keeps them) and adds
 only what differs.  Polynomial products run through
-integer_convolution, and Taylor shifts through Horner's rule in the
-numerator and denominator of the offset.  The polynomial falling
-factorial and binomial multiply one integer numerator list by each
-factor in turn.  Scalar falling factorials and binomials run over
-integers too and build one Fraction per result.  A Fraction is built
-only where a rational is read: a scalar result or a coefficient.
+integer_convolution.  _times_linear multiplies integer numerators by
+one linear factor c + s*x; Taylor shifts run Horner's rule through it,
+and the falling factorial and binomial of a polynomial, which must be
+linear, multiply by each factor in turn through it.  Scalar falling
+factorials and binomials run over integers and build one Fraction per
+result.  A Fraction is built only where a rational is read: a scalar
+result or a coefficient.
 integer_convolution is the one integer Cauchy product loop; series
 products and convolution sums use it too.
 over_factorial_scales brings integers over n!*scale^n to one
@@ -251,7 +252,7 @@ class Polynomial(_IntegerForm):
         out: list[int] = []
         scale = 1
         for c in reversed(self._num):
-            out = [p * a + q * b for a, b in zip([*out, 0], [0, *out])]
+            out = _times_linear(out, p, q)
             out[0] += c * scale
             scale *= q
         return Polynomial._from_integers(out, self._den * (scale // q))
@@ -304,27 +305,22 @@ def _falling_numerator(x: Fraction, k: int) -> int:
     return prod(range(x.numerator, x.numerator - k * q, -q))
 
 
+def _times_linear(num: Sequence[int], c: int, s: int) -> list[int]:
+    """Integer numerators, lowest degree first, times c + s*x."""
+    return [c * a + s * b for a, b in zip([*num, 0], [0, *num])]
+
+
 def _falling_numerators(x: Polynomial, k: int) -> list[int]:
     """Integer numerators, lowest degree first, of the falling factorial
-    of the polynomial x of length k, over x._den**k.
-
-    With x = N/d, factor m is (N - m*d)/d.  One numerator list is
-    multiplied by each factor in turn; the inner loop runs over the
-    factor's coefficients, so a linear x costs two list passes per
-    factor.
-    """
-    base, d = x._num or (0,), x._den
+    of the linear polynomial x of length k, over x._den**k: with
+    numerators (c, s) over d, factor m is (c - m*d) + s*x over d.  A
+    polynomial of degree 2 or more is a ValueError."""
+    if len(x._num) > 2:
+        raise ValueError(f"x must be linear, not of degree {len(x._num) - 1}")
+    c, s = (*x._num, 0, 0)[:2]
     out = [1]
     for m in range(k):
-        factor = (base[0] - m * d, *base[1:])
-        width = len(out)
-        product = [0] * (width + len(factor) - 1)
-        for j, f in enumerate(factor):
-            if f:
-                product[j : j + width] = [
-                    s + f * r for s, r in zip(product[j : j + width], out)
-                ]
-        out = product
+        out = _times_linear(out, c - m * x._den, s)
     return out
 
 
@@ -346,11 +342,10 @@ def binomial(x: PolyOrScalar, k: int) -> Union[Fraction, Polynomial]:
     if not isinstance(k, int) or isinstance(k, bool):
         raise OutOfRangeError("binomial lower index must be an integer")
     if isinstance(x, Polynomial):
+        numerators = _falling_numerators(x, max(k, 0))  # refuses x first
         if k < 0:
             return Polynomial._from_integers((), 1)
-        return Polynomial._from_integers(
-            _falling_numerators(x, k), x._den**k * factorial(k)
-        )
+        return Polynomial._from_integers(numerators, x._den**k * factorial(k))
     x = exact_rational(x)
     if k < 0:
         return Fraction(0)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, perm
+from math import factorial, gcd, perm, prod
 from typing import Iterable
 
 from . import identities
@@ -440,6 +440,12 @@ def wz_certificate_check(n_max: int) -> list[tuple[int, int]]:
     ]
 
 
+def _telescoped_closed_form(n: int) -> Polynomial:
+    """binomial(2n+x, n) as (n+1+x)...(2n+x)/n!: Polynomial products only."""
+    factors = (Polynomial((n + k, 1)) for k in range(1, n + 1))
+    return prod(factors, start=Polynomial((Fraction(1, factorial(n)),)))
+
+
 def telescoped_sum_check(n_max: int) -> list[int]:
     """Summing the certificate summand telescopes to a single binomial;
     the n in 0..n_max at which it fails.
@@ -448,7 +454,7 @@ def telescoped_sum_check(n_max: int) -> list[int]:
     polynomials, and both the sum and the closed form satisfy the
     two-term recurrence the certificate encodes from n to n + 1; n = 0
     also needs the sum to be 1.  Each sum and each closed form is built
-    once per call, and the closed form never goes through F.
+    once per call, and neither F nor binomial builds the closed form.
     """
     require_count("n_max", n_max)
     sizes = range(n_max + 2)
@@ -456,7 +462,7 @@ def telescoped_sum_check(n_max: int) -> list[int]:
         sum((certificate_summand(size, i) for i in range(size + 1)), Polynomial())
         for size in sizes
     ]
-    closed = [binomial(Polynomial((2 * size, 1)), size) for size in sizes]
+    closed = [_telescoped_closed_form(size) for size in sizes]
     return [
         n
         for n in range(n_max + 1)

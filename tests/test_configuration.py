@@ -215,7 +215,7 @@ def test_enumerate_ordered_boundary_order():
 
 
 @pytest.mark.parametrize("chars", [".aA1", ".bB2"])
-def test_base_four_blocks_spell_each_subset_like_block(chars):
+def test_hex_blocks_spell_each_subset_like_block(chars):
     for width in range(11):
         subsets = itertools.combinations(range(1, 2 * width + 1), width)
         expected = (_block(width, subset, chars) for subset in subsets)

@@ -111,6 +111,14 @@ def test_falling_factorial_negative_length_rejected():
         falling_factorial(X, -2)
 
 
+def test_polynomial_falling_factorial_and_binomial_refuse_degree_two_or_more():
+    calls = [(falling_factorial, 0), (falling_factorial, 2), (binomial, -1), (binomial, 2)]
+    for x, degree in ((X * X, 2), (X * X * X - X, 3)):
+        for function, k in calls:
+            with pytest.raises(ValueError, match=f"not of degree {degree}$"):
+                function(x, k)
+
+
 @given(x=rationals, k=st.integers(0, 8))
 def test_falling_factorial_splits_off_last_term(x, k):
     assert falling_factorial(x, k + 1) == falling_factorial(x, k) * (x - k)
@@ -259,10 +267,11 @@ def fraction_sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
     return Polynomial(x + sign * y for x, y in padded)
 
 
-low_degree_polys = st.lists(kernel_rationals, min_size=1, max_size=3).map(Polynomial)
+#: Polynomial falling factorials and binomials take a linear x only.
+linear_polys = st.lists(kernel_rationals, min_size=1, max_size=2).map(Polynomial)
 
 
-@given(x=low_degree_polys, k=st.integers(0, 12))
+@given(x=linear_polys, k=st.integers(0, 12))
 @example(x=Polynomial(), k=3)
 @example(x=X - Fraction(5, 12), k=0)
 def test_polynomial_falling_factorial_and_binomial_match_fraction_products(x, k):

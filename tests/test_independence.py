@@ -218,21 +218,20 @@ def test_the_shifted_polynomial_sum_and_the_unshifted_sums_share_input_checks_an
     ]
 
 
-def test_the_telescoped_sum_and_its_closed_form_share_the_polynomial_binomial():
+def test_the_telescoped_sum_and_its_closed_form_share_storage_and_the_product_dispatch():
     sizes = range(18)
     shared = reached(
         lambda: [
             sum((series.certificate_summand(s, i) for i in range(s + 1)), Polynomial())
             for s in sizes
         ]
-    ) & reached(lambda: [exactnum.binomial(Polynomial((2 * s, 1)), s) for s in sizes])
+    ) & reached(lambda: [series._telescoped_closed_form(s) for s in sizes])
     assert names(shared) == {
-        # A blind spot: a fault in the polynomial binomial moves both
-        # sides to one wrong polynomial, so the comparison alone cannot
-        # see it.  The telescoped-sum case catches it through its two
-        # recurrence clauses, which spell x out.
-        "exactnum.binomial",
-        "exactnum._falling_numerators",
+        # Dispatches a product: by a scalar on the sum's side, where F
+        # scales its polynomial binomial, and of two polynomials through
+        # integer_convolution on the closed form's side, so the two sides
+        # share no arithmetic in it.
+        "exactnum.Polynomial.__mul__",
         # Validate and store an input polynomial.
         "exactnum._IntegerForm.__init__",
         "exactnum.scaled_to_integers",
@@ -242,11 +241,45 @@ def test_the_telescoped_sum_and_its_closed_form_share_the_polynomial_binomial():
         "exactnum.Polynomial._normal",
         "exactnum._lowest_terms",
     }
+    # A fault in the polynomial binomial moves the sum alone, so the
+    # comparison itself sees it.
     for mutant in (
         "the polynomial binomial in series with its variable shifted by 1",
         "_falling_numerators one factor short",
     ):
         assert "series/telescoped-sum" in CAUGHT[mutant]
+
+
+def _difference_formula_bridge(n, a):
+    """The bridge side of identities.delta_formula_check: its entries,
+    built by falling_factorial and moved by taylor_shift."""
+    a = Fraction(a)
+    leads = [exactnum.falling_factorial(Polynomial((k - 1 - a, 1)), k) for k in range(n + 1)]
+    tails = [exactnum.falling_factorial(Polynomial((2 * n, 1)), k) for k in range(n + 1)]
+    entries = [leads[index] * tails[n - index] for index in range(n + 1)]
+    return [entry.taylor_shift(-2 * index) for index, entry in enumerate(entries)]
+
+
+def test_the_difference_formula_bridge_and_the_unshifted_sums_share_input_checks_and_the_product():
+    # The two sides of identities/difference-formula's bridge.
+    points = [(n, a) for n in range(1, 7) for a in suites.SHIFT_PARAMETERS]
+    shared = reached(lambda: [_difference_formula_bridge(n, a) for n, a in points]) & reached(
+        lambda: [identities.convolution_sum((a, 0), n) for n, a in points]
+    )
+    assert names(shared) == {
+        # Passes the offset through as a Fraction.
+        "exactnum.exact_rational",
+        # Refuses a bad size or length; it returns nothing.
+        "exactnum.require_count",
+        # The integer Cauchy product: each entry is the product of its
+        # two falling factorials, and the unshifted sum is the product of
+        # its two columns.  It computes, so a mutant of it in every
+        # importer must fail the case.
+        "exactnum.integer_convolution",
+    }
+    assert "identities/difference-formula" in CAUGHT[
+        "integer_convolution in every importer with entry k scaled by k + 1"
+    ]
 
 
 # ------------------------------------------------------- the public surface

@@ -152,11 +152,11 @@ RATIONAL_OFFSET_CASES = {
 #: is mutated for one importer at a time; a row that names a tuple of
 #: modules patches the function in each, a fault of the function itself.
 #: Integer-offset columns have scale 1 and never reach
-#: over_factorial_scales.  The shifted binomial
-#: moves both sides of the telescoped sum to x + 1 together, so that
-#: comparison still holds; the two certificate cases fail through the
-#: clauses that spell x out.  In identities the shifted binomial fails
-#: nothing: its polynomial identities hold at every x, so at x + 1 too.
+#: over_factorial_scales.  The shifted binomial moves the telescoped sum
+#: to x + 1 but not its closed form, which takes no binomial, so that
+#: comparison fails; wz-certificate fails through the clauses that
+#: spell x out.  In identities the shifted binomial fails nothing: its
+#: polynomial identities hold at every x, so at x + 1 too.
 ALGEBRA_MUTANTS = [
     (
         "over_factorial_scales in identities with entry k scaled by k + 1",

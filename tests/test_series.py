@@ -564,13 +564,13 @@ def test_a_compensated_summand_fails_at_its_boundary(monkeypatch):
 
 
 def test_a_scaled_closed_form_fails_every_telescoped_sum(monkeypatch):
-    exact = series.binomial
+    exact = series.prod
 
-    def doubled(x, k):
-        # Only the closed form binomial(2n+x, n) has constant term 2k.
-        return exact(x, k) * (2 if x == Polynomial((2 * k, 1)) else 1)
+    def doubled(factors, start):
+        # In series only the closed form multiplies through prod.
+        return exact(factors, start=2 * start)
 
-    monkeypatch.setattr(series, "binomial", doubled)
+    monkeypatch.setattr(series, "prod", doubled)
     # The doubled closed form still satisfies the recurrence.
     assert telescoped_sum_check(4) == [0, 1, 2, 3, 4]
 
